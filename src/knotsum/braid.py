@@ -82,20 +82,24 @@ class ClosureData:
     euler_char: int
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.permutation)
-        seen = [False] * n
-        out = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            cyc = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                cyc.append(i + 1)
-                i = self.permutation[i] - 1
-            out.append(tuple(cyc))
-        return tuple(out)
+        return _cycles(self.permutation)
+
+
+def _cycles(permutation: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    n = len(permutation)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i + 1)
+            i = permutation[i] - 1
+        out.append(tuple(cyc))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -156,13 +160,13 @@ def closure_data(word: BraidWord) -> ClosureData:
     image = [0] * n
     for bottom_pos, top_start in enumerate(perm):
         image[top_start - 1] = bottom_pos + 1
-    data = ClosureData(
-        permutation=tuple(image),
-        components=0,
+    permutation = tuple(image)
+    return ClosureData(
+        permutation=permutation,
+        components=len(_cycles(permutation)),
         writhe=word.writhe,
         euler_char=n - len(word.letters),
     )
-    return ClosureData(data.permutation, len(data.cycles()), data.writhe, data.euler_char)
 
 
 def is_knot(word: BraidWord) -> bool:

@@ -13,15 +13,12 @@ for the surface-based pipeline.
 from __future__ import annotations
 
 from .braid import BraidWord
-from .laurent import LaurentPolynomial, geometric_sum
+from .laurent import ONE, T, ZERO, LaurentPolynomial, geometric_sum
 from .linalg import laurent_matrix_determinant
-
-_ONE = LaurentPolynomial.constant(1)
-_ZERO = LaurentPolynomial()
 
 
 def _identity(n: int) -> list[list[LaurentPolynomial]]:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def reduced_burau_letter(index: int, sign: int, strands: int) -> list[list[LaurentPolynomial]]:
@@ -30,19 +27,18 @@ def reduced_burau_letter(index: int, sign: int, strands: int) -> list[list[Laure
     if not 1 <= index <= n - 1:
         raise ValueError("generator index out of range")
     m = _identity(n - 1)
-    t = LaurentPolynomial.monomial(1)
     tinv = LaurentPolynomial.monomial(-1)
     i = index - 1  # 0-based row/column of the generator's own coordinate
     if sign > 0:
-        m[i][i] = -t
+        m[i][i] = -T
         if i - 1 >= 0:
-            m[i - 1][i] = t
+            m[i - 1][i] = T
         if i + 1 <= n - 2:
-            m[i + 1][i] = _ONE
+            m[i + 1][i] = ONE
     else:
         m[i][i] = -tinv
         if i - 1 >= 0:
-            m[i - 1][i] = _ONE
+            m[i - 1][i] = ONE
         if i + 1 <= n - 2:
             m[i + 1][i] = tinv
     return m
@@ -62,7 +58,7 @@ def _matmul(
     a: list[list[LaurentPolynomial]], b: list[list[LaurentPolynomial]]
 ) -> list[list[LaurentPolynomial]]:
     size = len(a)
-    out = [[_ZERO] * size for _ in range(size)]
+    out = [[ZERO] * size for _ in range(size)]
     for i in range(size):
         for k in range(size):
             aik = a[i][k]
@@ -83,10 +79,10 @@ def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
     """
     n = word.strands
     if n == 1:
-        return LaurentPolynomial.constant(1)
+        return ONE
     b = reduced_burau(word)
     for i in range(n - 1):
-        b[i][i] = b[i][i] - _ONE
+        b[i][i] = b[i][i] - ONE
     det = laurent_matrix_determinant(b)
     if det.is_zero():
         return det

@@ -14,10 +14,8 @@ import sys
 from typing import Sequence
 
 from .braid import (
-    BraidSyntaxError,
     BraidWord,
     ShuffleError,
-    SplitIndexError,
     closure_data,
     default_shuffle,
     format_braid,
@@ -26,14 +24,12 @@ from .braid import (
     split_braid,
 )
 from .distances import (
-    DistanceDataError,
     dm_interval,
     gon_merge,
     load_distance_data,
     plan_triple_sum,
 )
 from .plumbing import (
-    PlumbingError,
     PlumbingWord,
     SearchBudget,
     boundary_profile,
@@ -84,21 +80,34 @@ def _braid_payload(word: BraidWord) -> dict:
     }
 
 
-def _profile_lines(profile) -> list[str]:
-    return [
+def _profile_report(profile) -> tuple[dict, list[str]]:
+    """Payload fields and human lines for a profile and its identification."""
+    # links stay unidentified; the table holds knots only
+    names = identify(profile) if profile.is_knot else None
+    if names is None:
+        identified = "(links are not matched against the table)"
+    else:
+        identified = ", ".join(names) or "no table match"
+    fields = {"profile": profile.serialize(), "identified": names}
+    lines = [
         f"alexander: {profile.alexander.pretty()}",
         f"signature: {profile.signature}",
         f"determinant: {profile.determinant}",
         f"genus bound: {profile.canonical_genus_bound}",
         f"components: {profile.components}",
+        f"identified: {identified}",
     ]
+    return fields, lines
 
 
-def _identification(profile) -> list[str] | None:
-    # links stay unidentified; the table holds knots only
-    if not profile.is_knot:
-        return None
-    return identify(profile)
+def _exhausted(args: argparse.Namespace, what: str, budget, **fields) -> int:
+    """Report a search that ran out of budget, printing the budget."""
+    _emit(
+        args,
+        {"found": False, "budget": budget.describe(), **fields},
+        [f"{what} within budget: {budget.describe()}"],
+    )
+    return EXIT_VERIFICATION
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -120,27 +129,19 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         word = _parse_braid_arg(text, args.strands)
         profile = profile_of_braid(word)
         payload = {"kind": "braid", **_braid_payload(word)}
-        data = closure_data(word)
         cycles = " ".join(
-            "(" + " ".join(str(v) for v in c) + ")" for c in data.cycles()
+            "(" + " ".join(str(v) for v in c) + ")"
+            for c in payload["permutation_cycles"]
         )
         lines = [
-            f"braid: {format_braid(word)}  ({word.strands} strands, "
+            f"braid: {payload['word']}  ({word.strands} strands, "
             f"{len(word.letters)} letters)",
-            f"closure: {data.components} component(s), writhe {data.writhe}",
+            f"closure: {payload['components']} component(s), "
+            f"writhe {payload['writhe']}",
             f"permutation cycles: {cycles}",
         ]
-    names = _identification(profile)
-    payload["profile"] = profile.serialize()
-    payload["identified"] = names
-    lines.extend(_profile_lines(profile))
-    if names is None:
-        lines.append("identified: (links are not matched against the table)")
-    elif names:
-        lines.append("identified: " + ", ".join(names))
-    else:
-        lines.append("identified: no table match")
-    _emit(args, payload, lines)
+    fields, profile_lines = _profile_report(profile)
+    _emit(args, {**payload, **fields}, lines + profile_lines)
     return EXIT_OK
 
 
@@ -285,22 +286,12 @@ def _cmd_plumbing_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_plumbing_boundary(args: argparse.Namespace) -> int:
     word = PlumbingWord.parse(args.word)
-    profile = boundary_profile(word)
-    names = _identification(profile)
-    payload = {
-        "word": word.format(),
-        "profile": profile.serialize(),
-        "identified": names,
-    }
-    lines = [f"plumbing: {word.format()}"]
-    lines.extend(_profile_lines(profile))
-    if names is None:
-        lines.append("identified: (links are not matched against the table)")
-    elif names:
-        lines.append("identified: " + ", ".join(names))
-    else:
-        lines.append("identified: no table match")
-    _emit(args, payload, lines)
+    fields, profile_lines = _profile_report(boundary_profile(word))
+    _emit(
+        args,
+        {"word": word.format(), **fields},
+        [f"plumbing: {word.format()}"] + profile_lines,
+    )
     return EXIT_OK
 
 
@@ -314,13 +305,7 @@ def _cmd_plumbing_search(args: argparse.Namespace) -> int:
     )
     trace = rewrite_search(word, target, budget)
     if trace is None:
-        message = f"not found within budget: {budget.describe()}"
-        _emit(
-            args,
-            {"found": False, "budget": budget.describe()},
-            [message],
-        )
-        return EXIT_VERIFICATION
+        return _exhausted(args, "not found", budget)
     payload = {"found": True, **_trace_payload(trace)}
     lines = [f"target: {args.target}"] + _trace_lines(trace)
     _emit(args, payload, lines)
@@ -358,13 +343,7 @@ def _cmd_search_triples(args: argparse.Namespace) -> int:
     )
     witnesses = search_triples((args.k1, args.k2, args.k3), budget, limit=args.limit)
     if not witnesses:
-        message = f"no witnesses within budget: {budget.describe()}"
-        _emit(
-            args,
-            {"found": False, "budget": budget.describe(), "witnesses": []},
-            [message],
-        )
-        return EXIT_VERIFICATION
+        return _exhausted(args, "no witnesses", budget, witnesses=[])
     payload = {
         "found": True,
         "count": len(witnesses),
@@ -547,16 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        BraidSyntaxError,
-        ShuffleError,
-        SplitIndexError,
-        PlumbingError,
-        DistanceDataError,
-        TableError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (TableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

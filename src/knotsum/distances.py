@@ -72,10 +72,10 @@ class DistanceData:
         return self.pairs.get(tuple(sorted((a, b))), {}).get(kind)
 
 
-def _parse_records(text: str) -> tuple[dict[str, KnotRecord], dict, list[str]]:
+def _parse(text: str) -> DistanceData:
+    """Parse and validate the records of one data file."""
     knots: dict[str, KnotRecord] = {}
     pairs: dict[tuple[str, str], dict[str, tuple[int, str]]] = {}
-    order: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -95,7 +95,6 @@ def _parse_records(text: str) -> tuple[dict[str, KnotRecord], dict, list[str]]:
             if u < 0 or (e is not None and e < 0):
                 raise DistanceDataError(f"line {lineno}: negative value")
             knots[name] = KnotRecord(name, u, e)
-            order.append(name)
         elif parts[0] == "pair":
             if len(parts) < 6:
                 raise DistanceDataError(f"line {lineno}: pair record needs 5+ fields")
@@ -122,7 +121,8 @@ def _parse_records(text: str) -> tuple[dict[str, KnotRecord], dict, list[str]]:
             bucket[kind] = (value, source)
         else:
             raise DistanceDataError(f"line {lineno}: unknown record {parts[0]!r}")
-    return knots, pairs, order
+    _validate(knots, pairs)
+    return DistanceData(knots=knots, pairs=pairs)
 
 
 def _validate(knots: dict[str, KnotRecord], pairs: dict) -> None:
@@ -166,18 +166,12 @@ def load_distance_data(path: str | Path | None = None) -> DistanceData:
     """Parse and validate a data file; default is the shipped snapshot."""
     if path is None:
         return _load_default()
-    text = Path(path).read_text()
-    knots, pairs, _ = _parse_records(text)
-    _validate(knots, pairs)
-    return DistanceData(knots=knots, pairs=pairs)
+    return _parse(Path(path).read_text())
 
 
 @functools.lru_cache(maxsize=1)
 def _load_default() -> DistanceData:
-    text = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text()
-    knots, pairs, _ = _parse_records(text)
-    _validate(knots, pairs)
-    return DistanceData(knots=knots, pairs=pairs)
+    return _parse(resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text())
 
 
 class DerivationEntry(NamedTuple):
@@ -309,6 +303,19 @@ def _band_twist_estimate(data: DistanceData, a: str, b: str) -> tuple[int, str] 
     return None
 
 
+def _score_roles(data: DistanceData, k1: str, k2: str, k3: str):
+    """Yield (twisted, trivialized, p, q, gon) for both role assignments.
+
+    p band twists send the twisted knot to K3 and q send the other to the
+    unknot; gon is 2(p + q + 1), or None when an estimate is missing.
+    """
+    for twisted, trivialized in ((k1, k2), (k2, k1)):
+        p = _band_twist_estimate(data, twisted, k3)
+        q = _band_twist_estimate(data, trivialized, "unknot")
+        gon = None if p is None or q is None else 2 * (p[0] + q[0] + 1)
+        yield twisted, trivialized, p, q, gon
+
+
 def _upper(r1: _Resolved, r2: _Resolved, r3: _Resolved, status: str,
            data: DistanceData) -> tuple[int | None, tuple[DerivationEntry, ...]]:
     derivation: list[DerivationEntry] = []
@@ -318,27 +325,17 @@ def _upper(r1: _Resolved, r2: _Resolved, r3: _Resolved, status: str,
         derivation.append(DerivationEntry(
             "connected_sum_exact", 2, "K3 = K1 # K2, a 2-gon Murasugi sum"
         ))
-    roles = (
-        (r1, r2, "K1 to K3, K2 to unknot"),
-        (r2, r1, "K2 to K3, K1 to unknot"),
-    )
-    for twisted, trivialized, label in roles:
-        if not (twisted.name and trivialized.name and r3.name):
-            derivation.append(DerivationEntry(
-                "band_twist_bound", None, f"{label}: needs table names"
-            ))
+    named = r1.name and r2.name and r3.name
+    roles = _score_roles(data, r1.name, r2.name, r3.name) if named else (None, None)
+    for label, role in zip(("K1 to K3, K2 to unknot", "K2 to K3, K1 to unknot"), roles):
+        if role is None or role[4] is None:
+            reason = "needs table names" if role is None else "no distance estimate"
+            derivation.append(DerivationEntry("band_twist_bound", None, f"{label}: {reason}"))
             continue
-        p = _band_twist_estimate(data, twisted.name, r3.name)
-        q = _band_twist_estimate(data, trivialized.name, "unknot")
-        if p is None or q is None:
-            derivation.append(DerivationEntry(
-                "band_twist_bound", None, f"{label}: no distance estimate"
-            ))
-            continue
-        value = 2 * (p[0] + q[0] + 1)
-        candidates.append(value)
+        _, _, p, q, gon = role
+        candidates.append(gon)
         derivation.append(DerivationEntry(
-            "band_twist_bound", value,
+            "band_twist_bound", gon,
             f"2(p + q + 1) with p={p[0]} ({p[1]}), q={q[0]} ({q[1]}); {label}",
         ))
     us = [data.u_of(r.name) if r.name else None for r in (r1, r2, r3)]
@@ -429,7 +426,7 @@ def dm_interval(
 def gon_merge(sizes: Sequence[int], knot_boundary: bool) -> int:
     """Total gon size after merging summing polygons along one boundary.
 
-    n polygons of even sizes e_i merge to sum(e_i); a knot boundary lets
+    n polygons of even sizes e_i >= 2 merge to sum(e_i); a knot boundary lets
     consecutive polygons share edges, dropping 2 per junction.
     """
     if not sizes:
@@ -437,6 +434,8 @@ def gon_merge(sizes: Sequence[int], knot_boundary: bool) -> int:
     for e in sizes:
         if e % 2:
             raise ValueError(f"gon size {e} is odd")
+        if e < 2:
+            raise ValueError(f"gon size {e} is below 2")
     total = sum(sizes)
     if knot_boundary:
         total -= 2 * (len(sizes) - 1)
@@ -492,17 +491,12 @@ def plan_triple_sum(
     data = data or load_distance_data()
     for name in (k1, k2, k3):
         _resolve(name)
-    options = []
-    for twisted, trivialized in ((k1, k2), (k2, k1)):
-        p = _band_twist_estimate(data, twisted, k3)
-        q = _band_twist_estimate(data, trivialized, "unknot")
-        if p is not None and q is not None:
-            options.append((2 * (p[0] + q[0] + 1), twisted, trivialized, p[0], q[0]))
+    options = [role for role in _score_roles(data, k1, k2, k3) if role[4] is not None]
     if not options:
         raise DistanceDataError(
             f"no band-twist estimates available for ({k1}, {k2}; {k3})"
         )
-    _, twisted, trivialized, p, q = min(options, key=lambda t: t[0])
+    twisted, trivialized, (p, _), (q, _), _ = min(options, key=lambda role: role[4])
     g1, g2 = _batch_gon(p), _batch_gon(q)
     final = gon_merge([g1, g2], knot_boundary=True)
     return GonPlan(

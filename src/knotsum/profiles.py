@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, closure_data, free_reduce
 from .laurent import LaurentPolynomial
-from .seifert import (
-    SeifertMatrix,
-    alexander_of_braid,
-    seifert_matrix_of_braid,
-)
+from .seifert import SeifertMatrix, alexander_of_surface, seifert_matrix_of_braid
 
 
 @dataclass(frozen=True)
@@ -69,16 +65,13 @@ def profile_of_braid(word: BraidWord) -> InvariantProfile:
     with s the number of surface pieces. For a knot this is the usual
     (letters - strands + 1) / 2.
     """
-    alexander = alexander_of_braid(word)
     matrix = seifert_matrix_of_braid(word)
+    alexander = alexander_of_surface(word, matrix)
+    # free reduction keeps the permutation, so the component count carries over
     components = closure_data(word).components
     reduced = free_reduce(word)
     pieces = reduced.strands - len({abs(v) for v in reduced.letters})
-    genus2 = (
-        2 * pieces
-        - (reduced.strands - len(reduced.letters))
-        - closure_data(reduced).components
-    )
+    genus2 = 2 * pieces - (reduced.strands - len(reduced.letters)) - components
     return InvariantProfile(
         alexander=alexander,
         signature=matrix.signature(),
@@ -88,36 +81,24 @@ def profile_of_braid(word: BraidWord) -> InvariantProfile:
     )
 
 
-def profile_of_seifert_matrix(matrix: SeifertMatrix, size_hint: int | None = None) -> InvariantProfile:
+def profile_of_seifert_matrix(matrix: SeifertMatrix) -> InvariantProfile:
     """Profile read off a connected-surface Seifert matrix.
 
     Component count comes from the intersection form: it is unimodular
     exactly for knots, and a linear plumbing bounds a 2-component link
-    otherwise. size_hint carries the plumbing length for the genus bound;
-    it defaults to the matrix size, which is correct for plumbings.
+    otherwise. The genus bound takes the matrix size as the plumbing
+    length.
     """
     alexander = matrix.alexander()
     determinant = abs(alexander.at_minus_one())
     components = 1 if determinant % 2 == 1 else 2
-    n = matrix.size if size_hint is None else size_hint
     return InvariantProfile(
         alexander=alexander,
         signature=matrix.signature(),
         determinant=determinant,
-        canonical_genus_bound=max(0, n - components + 1) // 2,
+        canonical_genus_bound=max(0, matrix.size - components + 1) // 2,
         components=components,
     )
-
-
-def profile(source) -> InvariantProfile:
-    """Dispatch on braid words and plumbing words."""
-    from .plumbing import PlumbingWord, boundary_profile
-
-    if isinstance(source, BraidWord):
-        return profile_of_braid(source)
-    if isinstance(source, PlumbingWord):
-        return boundary_profile(source)
-    raise TypeError(f"cannot profile {type(source).__name__}")
 
 
 def identify(p: InvariantProfile) -> list[str]:

@@ -26,7 +26,7 @@ fixes the global mirror convention; the test suite enforces both.
 det(V - t*V^T) is the Alexander polynomial only when the surface is
 connected, which for a closed braid means every generator index occurs
 in the word. Otherwise the closure is a split link and its Alexander
-polynomial vanishes; alexander_of_braid handles that case.
+polynomial vanishes; alexander_of_surface handles that case.
 
 A linear plumbing of unknotted annuli with even twist counts
 [a1, ..., an] gets the n x n matrix with diagonal -ai/2 and a single +1
@@ -94,10 +94,6 @@ class SeifertMatrix:
             [self.rows[i][j] - self.rows[j][i] for j in range(n)] for i in range(n)
         ]
         return bareiss_determinant(skew)
-
-
-def signature(matrix: SeifertMatrix) -> int:
-    return matrix.signature()
 
 
 @dataclass(frozen=True)
@@ -169,10 +165,6 @@ def seifert_matrix_of_plumbing(half_twists: Sequence[int]) -> SeifertMatrix:
     return SeifertMatrix.from_lists(m)
 
 
-def alexander_from_seifert(matrix: SeifertMatrix) -> LaurentPolynomial:
-    return matrix.alexander()
-
-
 def canonical_surface_is_connected(word: BraidWord) -> bool:
     """True when every band column is populated, so the disks chain up."""
     used = {abs(v) for v in word.letters}
@@ -180,11 +172,16 @@ def canonical_surface_is_connected(word: BraidWord) -> bool:
 
 
 def alexander_of_braid(word: BraidWord) -> LaurentPolynomial:
-    """Alexander polynomial of the closure, through the surface route.
+    """Alexander polynomial of the closure, through the surface route."""
+    return alexander_of_surface(word, seifert_matrix_of_braid(word))
+
+
+def alexander_of_surface(word: BraidWord, matrix: SeifertMatrix) -> LaurentPolynomial:
+    """Alexander polynomial of the closure from its canonical-surface matrix.
 
     Split closures (some generator index unused) have a disconnected
     canonical surface; their Alexander polynomial is zero.
     """
     if not canonical_surface_is_connected(word):
         return LaurentPolynomial()
-    return seifert_matrix_of_braid(word).alexander()
+    return matrix.alexander()

@@ -317,6 +317,8 @@ def search_triples(
     The inner word realizes the second target name, the outer the first.
     An exhausted budget yields an empty list, not an error.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     budget = budget or TripleBudget()
     table = load_table()
     for name in target:
@@ -330,12 +332,10 @@ def search_triples(
         for s2 in range(2, budget.max_strands + 1):
             if s1 + s2 - 1 > budget.max_strands:
                 continue
-            inner_pool = pools.setdefault(
-                (name2, s1), _pool_matching(name2, s1, budget.max_total_letters)
-            )
-            outer_pool = pools.setdefault(
-                (name1, s2), _pool_matching(name1, s2, budget.max_total_letters)
-            )
+            for key in ((name2, s1), (name1, s2)):
+                if key not in pools:
+                    pools[key] = _pool_matching(*key, budget.max_total_letters)
+            inner_pool, outer_pool = pools[name2, s1], pools[name1, s2]
             for w1 in inner_pool:
                 for w2 in outer_pool:
                     total = len(w1.letters) + len(w2.letters)

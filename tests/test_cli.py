@@ -177,6 +177,13 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "dm-bounds", "3_1", "3_1", "9_99")[0] == 2
     assert run(capsys, "plumbing", "boundary", "S[3]")[0] == 2
     assert run(capsys, "gon-merge", "3", "--knot")[0] == 2
+    assert run(capsys, "gon-merge", "0", "0", "--knot")[0] == 2
+    assert run(capsys, "gon-merge", "4", "-2")[0] == 2
+    for limit in ("0", "-1"):
+        code, out, err = run(
+            capsys, "search-triples", "unknot", "unknot", "3_1", "--limit", limit
+        )
+        assert (code, out) == (2, "") and "limit" in err
     assert run(capsys, "verify-triple", "1 2", "--at", "1", "--expect", "a,b")[0] == 2
     code, _, err = run(capsys, "invariants", "1 1 1", "--bogus")
     assert code == 2

@@ -207,6 +207,10 @@ def test_gon_merge():
         gon_merge([], knot_boundary=True)
     with pytest.raises(ValueError):
         gon_merge([4, 3], knot_boundary=False)
+    for sizes in ([0, 0], [4, -2], [-2]):
+        for knot_boundary in (True, False):
+            with pytest.raises(ValueError, match="below 2"):
+                gon_merge(sizes, knot_boundary=knot_boundary)
 
 
 def test_plan_matches_the_upper_bound_formula():

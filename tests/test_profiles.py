@@ -1,14 +1,14 @@
 import pytest
 
+from knotsum import profiles, seifert
 from knotsum.braid import BraidWord, mirror_braid, murasugi_concat
 from knotsum.laurent import LaurentPolynomial
-from knotsum.plumbing import PlumbingWord
+from knotsum.plumbing import PlumbingWord, boundary_profile
 from knotsum.profiles import (
     UNKNOT_PROFILE_KEY,
     InvariantProfile,
     identify,
     is_unknot_consistent,
-    profile,
     profile_of_braid,
     profile_of_seifert_matrix,
 )
@@ -90,11 +90,26 @@ def test_profile_of_seifert_matrix_plumbing():
 
 
 def test_profile_dispatch():
-    braid_route = profile(BraidWord(2, (1, 1, 1)))
-    plumbing_route = profile(PlumbingWord((2, 2)))
+    braid_route = profile_of_braid(BraidWord(2, (1, 1, 1)))
+    plumbing_route = boundary_profile(PlumbingWord((2, 2)))
     assert braid_route.fingerprint() == plumbing_route.fingerprint()
-    with pytest.raises(TypeError):
-        profile("1 1 1")
+
+
+def test_profile_of_braid_builds_one_seifert_matrix(monkeypatch):
+    build = seifert.seifert_matrix_of_braid
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return build(word)
+
+    # the surface route may reach the builder through either module
+    for module in (seifert, profiles):
+        monkeypatch.setattr(module, "seifert_matrix_of_braid", counting)
+    words = random_knot_words(seed=11, count=20)
+    for w in words:
+        profile_of_braid(w)
+    assert calls == list(words)
 
 
 def test_identify():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from knotsum import surgery
 from knotsum.braid import BraidWord
 from knotsum.profiles import is_unknot_consistent, profile_of_braid
 from knotsum.surgery import (
@@ -177,6 +178,23 @@ def test_search_triples_limit_and_misses():
     ) == []
     with pytest.raises(KeyError):
         search_triples(("unknot", "unknot", "9_99"))
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit"):
+            search_triples(("unknot", "unknot", "unknot"), budget, limit=limit)
+
+
+def test_search_triples_builds_each_pool_once(monkeypatch):
+    calls = []
+    build = surgery._pool_matching
+
+    def counting(name, strands, max_letters):
+        calls.append((name, strands))
+        return build(name, strands, max_letters)
+
+    monkeypatch.setattr(surgery, "_pool_matching", counting)
+    budget = TripleBudget(max_total_letters=2, max_strands=4, max_shuffles=8)
+    assert search_triples(("unknot", "unknot", "unknot"), budget)
+    assert sorted(calls) == [("unknot", 2), ("unknot", 3)]
 
 
 def test_search_triples_finds_trefoil_composites():
