@@ -1,15 +1,15 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact, fraction-free linear algebra over the integers.
 
-Everything here is exact: Bareiss elimination for integer determinants,
-Lagrange interpolation for determinants of matrix pencils A + t*B, a
-minor-expansion determinant for matrices of Laurent polynomials, and
-congruence diagonalization over the rationals for symmetric signatures.
+Bareiss elimination for integer determinants, Newton interpolation by
+exact integer divided differences for determinants of matrix pencils
+A + t*B, a minor-expansion determinant for matrices of Laurent polynomials,
+and integer congruence diagonalization for symmetric signatures.
 No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .laurent import LaurentPolynomial
@@ -45,48 +45,31 @@ def pencil_determinant(
 ) -> LaurentPolynomial:
     """det(A + t*B) for integer matrices A, B, as an exact polynomial in t.
 
-    The determinant has degree at most n, so n + 1 integer evaluations
-    pin it down; each evaluation runs through Bareiss elimination.
+    The determinant has degree at most n, so n + 1 Bareiss evaluations at
+    the consecutive integers -(n // 2) .. n - n // 2 pin it down. Newton
+    divided differences there divide level k by k, exactly for an integer
+    polynomial, so a remainder raises ArithmeticError; Horner's rule on
+    (t - x_k) then expands the Newton form into monomials.
     """
     n = len(a)
     if len(b) != n:
         raise ValueError("pencil matrices differ in size")
     if n == 0:
         return LaurentPolynomial.constant(1)
-    points = list(range(n + 1))
-    values = []
-    for x in points:
-        mx = [[a[i][j] + x * b[i][j] for j in range(n)] for i in range(n)]
-        values.append(bareiss_determinant(mx))
-    coeffs = _lagrange_integer_coefficients(points, values)
-    return LaurentPolynomial.from_dict({e: c for e, c in enumerate(coeffs)})
-
-
-def _lagrange_integer_coefficients(points: list[int], values: list[int]) -> list[int]:
-    n = len(points)
-    total = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        # numerator polynomial prod_{j != i} (x - xj), built coefficient-wise
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                nxt[k] -= c * xj
-                nxt[k + 1] += c
-            num = nxt
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(num):
-            total[k] += c * scale
-    out = []
-    for c in total:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer coefficient")
-        out.append(int(c))
-    return out
+    points = range(-(n // 2), n + 1 - n // 2)
+    diffs = [bareiss_determinant([[a[i][j] + x * b[i][j] for j in range(n)] for i in range(n)])
+             for x in points]
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], k)
+            if rem:
+                raise ArithmeticError("interpolation produced a non-integer coefficient")
+    coeffs = [diffs[n]]
+    for k in range(n - 1, -1, -1):
+        x = points[k]
+        coeffs = [up - x * c for up, c in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diffs[k]
+    return LaurentPolynomial.from_dict(dict(enumerate(coeffs)))
 
 
 def laurent_matrix_determinant(
@@ -94,9 +77,10 @@ def laurent_matrix_determinant(
 ) -> LaurentPolynomial:
     """Determinant of a square Laurent-polynomial matrix.
 
-    Uses minor expansion memoized on column subsets: exact, division free,
-    and fine for the small matrices produced by the reduced Burau
-    representation (strand counts stay in the single digits).
+    Uses minor expansion memoized on column subsets: exact and division
+    free, but the memo holds up to 2^(n-1) minors and each one costs up to
+    n Laurent multiplies, so time and memory double with every added row.
+    An n-strand reduced Burau matrix is (n-1) x (n-1).
     """
     n = len(matrix)
     if n == 0:
@@ -132,10 +116,12 @@ def laurent_matrix_determinant(
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> int:
     """Signature of a symmetric integer matrix by exact congruence diagonalization.
 
-    Zero rows contribute nothing. Rational pivots only; no eigenvalues.
+    Fraction free: pivot d clears row and column i by the congruence
+    row_i <- d*row_i - f*row_p, then the same on column i; row and column i
+    are then divided by a g with g^2 | m[i][i]. Zero rows contribute nothing.
     """
     n = len(matrix)
-    m = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    m = [list(row) for row in matrix]
     for i in range(n):
         for j in range(n):
             if m[i][j] != m[j][i]:
@@ -161,11 +147,17 @@ def symmetric_signature(matrix: Sequence[Sequence[int]]) -> int:
         sig += 1 if d > 0 else -1
         live.remove(pivot)
         for i in live:
-            factor = m[i][pivot] / d
-            if factor == 0:
+            f = m[i][pivot]
+            if f == 0:
                 continue
             for k in range(n):
-                m[i][k] -= factor * m[pivot][k]
+                m[i][k] = d * m[i][k] - f * m[pivot][k]
             for k in range(n):
-                m[k][i] -= factor * m[k][pivot]
+                m[k][i] = d * m[k][i] - f * m[k][pivot]
+            g = gcd(*(m[i][k] for k in live))  # live includes i
+            g = gcd(g, m[i][i] // g) if g else 0  # so that g^2 | m[i][i]
+            if g > 1:
+                for k in live:
+                    m[i][k] //= g
+                    m[k][i] //= g
     return sig

@@ -3,8 +3,9 @@ import pytest
 from knotsum.braid import BraidWord
 from knotsum.burau import alexander_via_burau, reduced_burau, reduced_burau_letter
 from knotsum.laurent import ONE, ZERO, LaurentPolynomial
+from knotsum.seifert import alexander_of_braid
 
-from corpus import random_knot_words
+from corpus import random_braid_words, random_knot_words
 
 
 def test_letter_matrix_two_strands():
@@ -62,3 +63,11 @@ def test_alexander_is_mirror_and_conjugation_invariant():
 def test_alexander_at_one_is_unit_for_knots():
     for w in random_knot_words(555, 25):
         assert abs(alexander_via_burau(w).at_one()) == 1
+
+
+def test_dual_routes_agree_on_seeded_wide_words():
+    # links and split closures included; up to 8 strands and 22 letters,
+    # beyond the 5-strand, 12-letter acceptance corpus
+    words = random_braid_words(20261018, 400, max_strands=8, max_letters=22)
+    mismatches = [w for w in words if alexander_of_braid(w) != alexander_via_burau(w)]
+    assert not mismatches, mismatches[:3]

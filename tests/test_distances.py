@@ -152,6 +152,13 @@ def test_bounds_never_cross_on_table_triples():
             assert iv.lower <= iv.upper
 
 
+def test_every_table_triple_has_an_interval():
+    # DMInterval's constructor rejects odd, crossed or sub-2 bounds
+    names = table_names()
+    for k1, k2, k3 in itertools.product(names, repeat=3):
+        dm_interval(k1, k2, k3)
+
+
 def test_profile_inputs_give_lower_bound_only():
     p31 = profile_of_braid(BraidWord(2, (1, 1, 1)))
     lower, _ = dm_lower_bounds(p31, p31, p31)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knotsum import linalg
 from knotsum.laurent import ONE, T, ZERO, LaurentPolynomial
 from knotsum.linalg import (
     bareiss_determinant,
@@ -68,6 +71,32 @@ def test_pencil_matches_evaluations(ab):
         assert p.evaluate(x) == bareiss_determinant(mx)
 
 
+def test_pencil_rejects_values_of_no_integer_polynomial(monkeypatch):
+    # 0, 0, 1 at t = -1, 0, 1 fit only t(t + 1)/2
+    values = iter((0, 0, 1))
+    monkeypatch.setattr(linalg, "bareiss_determinant", lambda m: next(values))
+    with pytest.raises(ArithmeticError):
+        pencil_determinant([[0, 0], [0, 0]], [[0, 0], [0, 0]])
+
+
+def _random_matrix(rng, n, density, lo=-4, hi=4):
+    return [[rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)]
+
+
+def test_pencil_matches_laurent_determinant_on_seeded_matrices():
+    rng = random.Random(20261018)
+    for trial in range(120):
+        n = trial % 8
+        a = _random_matrix(rng, n, rng.choice((0.3, 1.0)))
+        b = _random_matrix(rng, n, rng.choice((0.3, 1.0)))
+        if n and trial % 3 == 0:
+            b[rng.randrange(n)] = [0] * n  # singular B: degree drops below n
+        pencil = [[LaurentPolynomial.from_dict({0: a[i][j], 1: b[i][j]}) for j in range(n)]
+                  for i in range(n)]
+        assert pencil_determinant(a, b) == laurent_matrix_determinant(pencil), (a, b)
+
+
 def test_laurent_matrix_determinant_examples():
     assert laurent_matrix_determinant([]) == ONE
     assert laurent_matrix_determinant([[T, ONE], [ZERO, T]]) == T * T
@@ -108,6 +137,9 @@ def test_symmetric_signature_examples():
     assert symmetric_signature([[2]]) == 1
     assert symmetric_signature([[-2, 1], [1, -2]]) == -2
     assert symmetric_signature([[0, 1], [1, 0]]) == 0
+    # the pair step exposes diagonal 2; dividing that row by its plain gcd
+    # (2) instead of a g with g^2 | 2 would wrongly zero the diagonal
+    assert symmetric_signature([[0, -1], [-1, 0]]) == 0
     assert symmetric_signature([[0, 0], [0, 3]]) == 1
     assert symmetric_signature([[1, 0, 0], [0, -1, 0], [0, 0, 0]]) == 0
 
@@ -132,3 +164,31 @@ def test_signature_is_congruence_invariant(m):
     at_m = [[sum(a[k][i] * sym[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     congruent = [[sum(at_m[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     assert symmetric_signature(congruent) == symmetric_signature(sym)
+
+
+def _sign_changes(coeffs):
+    return sum((x > 0) != (y > 0) for x, y in zip(coeffs, coeffs[1:]))
+
+
+def _descartes_signature(sym):
+    """Positive minus negative roots of det(tI - S), all real for symmetric S."""
+    n = len(sym)
+    char = laurent_matrix_determinant(
+        [[(T if i == j else ZERO) - LaurentPolynomial.constant(sym[i][j]) for j in range(n)]
+         for i in range(n)]
+    )
+    coeffs = [c for _, c in char.terms]
+    flipped = [c if e % 2 == 0 else -c for e, c in char.terms]
+    return _sign_changes(coeffs) - _sign_changes(flipped)
+
+
+def test_signature_matches_descartes_on_seeded_sparse_matrices():
+    rng = random.Random(7919)
+    for trial in range(150):
+        n = trial % 9
+        m = _random_matrix(rng, n, rng.choice((0.2, 0.4, 0.8)), -6, 6)
+        sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        if trial % 2 == 0:
+            for i in range(n):
+                sym[i][i] = 0  # zero diagonal: the pair step has to run
+        assert symmetric_signature(sym) == _descartes_signature(sym), sym
