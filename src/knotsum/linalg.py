@@ -54,6 +54,8 @@ def pencil_determinant(
     n = len(a)
     if len(b) != n:
         raise ValueError("pencil matrices differ in size")
+    if any(len(row) != n for row in (*a, *b)):
+        raise ValueError("pencil matrices are not square")
     if n == 0:
         return LaurentPolynomial.constant(1)
     points = range(-(n // 2), n + 1 - n // 2)
@@ -122,6 +124,8 @@ def symmetric_signature(matrix: Sequence[Sequence[int]]) -> int:
     """
     n = len(matrix)
     m = [list(row) for row in matrix]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
     for i in range(n):
         for j in range(n):
             if m[i][j] != m[j][i]:

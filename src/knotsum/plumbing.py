@@ -111,10 +111,7 @@ def apply_rule3(word: PlumbingWord, zero_pos: int) -> PlumbingWord:
         raise PlumbingError(f"position {zero_pos} is not interior in {word}")
     if word.twists[zero_pos] != 0:
         raise PlumbingError(f"entry at {zero_pos} in {word} is not zero")
-    merged = word.twists[zero_pos - 1] + word.twists[zero_pos + 1]
-    return PlumbingWord(
-        word.twists[: zero_pos - 1] + (merged,) + word.twists[zero_pos + 2 :]
-    )
+    return PlumbingWord(_merged(word.twists, zero_pos))
 
 
 def apply_rule3_inverse(word: PlumbingWord, pos: int, x: int) -> PlumbingWord:
@@ -123,10 +120,17 @@ def apply_rule3_inverse(word: PlumbingWord, pos: int, x: int) -> PlumbingWord:
         raise PlumbingError(f"position {pos} out of range in {word}")
     if x % 2:
         raise PlumbingError(f"twist {x} is odd")
-    c = word.twists[pos]
-    return PlumbingWord(
-        word.twists[:pos] + (x, 0, c - x) + word.twists[pos + 1 :]
-    )
+    return PlumbingWord(_split(word.twists, pos, x))
+
+
+def _merged(twists: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Rule 3 on bare twists: drop the zero at j, adding its neighbours."""
+    return twists[: j - 1] + (twists[j - 1] + twists[j + 1],) + twists[j + 2 :]
+
+
+def _split(twists: tuple[int, ...], j: int, x: int) -> tuple[int, ...]:
+    """Rule 3 inverse on bare twists: entry c at j becomes (x, 0, c - x)."""
+    return twists[:j] + (x, 0, twists[j] - x) + twists[j + 1 :]
 
 
 class RewriteStep(NamedTuple):
@@ -235,28 +239,22 @@ def _even_range(limit: int) -> range:
     return range(-limit, limit + 1, 2)
 
 
-def _neighbors(word: PlumbingWord,
-               budget: SearchBudget) -> Iterator[tuple[RewriteStep, PlumbingWord]]:
-    twists = word.twists
+def _neighbors(twists: tuple[int, ...],
+               budget: SearchBudget) -> Iterator[tuple[RewriteStep, tuple[int, ...]]]:
     n = len(twists)
     if n >= 2 and twists[-1] == 0:
-        step = RewriteStep(RULE_UNSTABILIZE, n - 2, (twists[-2],))
-        yield step, PlumbingWord(twists[:-2])
+        yield RewriteStep(RULE_UNSTABILIZE, n - 2, (twists[-2],)), twists[:-2]
     for j in range(1, n - 1):
-        if twists[j] == 0:
-            merged = twists[j - 1] + twists[j + 1]
-            if abs(merged) <= budget.max_twist:
-                yield RewriteStep(RULE_MERGE, j), apply_rule3(word, j)
+        if twists[j] == 0 and abs(twists[j - 1] + twists[j + 1]) <= budget.max_twist:
+            yield RewriteStep(RULE_MERGE, j), _merged(twists, j)
     if n + 2 <= budget.max_length:
         for a in _even_range(budget.max_twist):
-            yield (RewriteStep(RULE_STABILIZE, n, (a,)),
-                   PlumbingWord(twists + (a, 0)))
+            yield RewriteStep(RULE_STABILIZE, n, (a,)), twists + (a, 0)
         for j in range(n):
             c = twists[j]
             for x in _even_range(budget.max_twist):
                 if abs(c - x) <= budget.max_twist:
-                    yield (RewriteStep(RULE_SPLIT, j, (x,)),
-                           apply_rule3_inverse(word, j, x))
+                    yield RewriteStep(RULE_SPLIT, j, (x,)), _split(twists, j, x)
 
 
 def rewrite_search(start: PlumbingWord,
@@ -265,39 +263,43 @@ def rewrite_search(start: PlumbingWord,
     """Breadth-first search through rules 2/3 for a minimal-genus word
     whose boundary matches the target profile (chirality-blind).
 
-    Returns None when the budget runs out; rule applications preserve the
-    boundary, so only targets matching the start's boundary are reachable.
+    Rule applications preserve the boundary, so a target whose invariants
+    differ from the start's boundary is unreachable: it is answered with
+    None at once, before any state is expanded. Otherwise None means the
+    budget ran out. The search runs on bare twist tuples; a PlumbingWord
+    is built only for a minimal-genus candidate and for the trace's end.
     """
     budget = budget or SearchBudget()
     goal = target.fingerprint()
-
-    def is_goal(word: PlumbingWord) -> bool:
-        return word.is_minimal_genus and boundary_profile(word).fingerprint() == goal
-
-    if is_goal(start):
+    if boundary_profile(start).fingerprint() != goal:
+        return None
+    if start.is_minimal_genus:
         return RewriteTrace(start=start, end=start, steps=())
 
-    visited = {start.twists}
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], RewriteStep]] = {}
-    queue: deque[PlumbingWord] = deque([start])
+    # every visited tuple maps to (its predecessor, the step from there)
+    parents: dict[tuple[int, ...], tuple[tuple[int, ...], RewriteStep] | None] = {
+        start.twists: None
+    }
+    queue: deque[tuple[int, ...]] = deque([start.twists])
     while queue:
         current = queue.popleft()
         for step, nxt in _neighbors(current, budget):
-            if nxt.twists in visited:
+            if nxt in parents:
                 continue
-            if len(visited) >= budget.max_states:
+            if len(parents) >= budget.max_states:
                 return None
-            visited.add(nxt.twists)
-            parents[nxt.twists] = (current.twists, step)
-            if is_goal(nxt):
-                steps: list[RewriteStep] = []
-                cursor = nxt.twists
-                while cursor != start.twists:
-                    prev, via = parents[cursor]
-                    steps.append(via)
-                    cursor = prev
-                steps.reverse()
-                return RewriteTrace(start=start, end=nxt, steps=tuple(steps))
+            parents[nxt] = (current, step)
+            if all(nxt):
+                end = PlumbingWord(nxt)
+                if boundary_profile(end).fingerprint() == goal:
+                    steps: list[RewriteStep] = []
+                    link = parents[nxt]
+                    while link is not None:
+                        prev, via = link
+                        steps.append(via)
+                        link = parents[prev]
+                    steps.reverse()
+                    return RewriteTrace(start=start, end=end, steps=tuple(steps))
             queue.append(nxt)
     return None
 

@@ -28,6 +28,7 @@ from .profiles import (
     is_unknot_consistent,
     profile_of_braid,
 )
+from .seifert import seifert_matrix_of_braid
 from .table import load_table, match_profile
 
 SIDE_POSITIVE = "positive"
@@ -194,12 +195,25 @@ class TripleFailure:
         return {"stage": self.stage, "detail": self.detail}
 
 
-def _identify_as(word: BraidWord, expected: str) -> InvariantProfile | str:
+ProfileMemo = dict[BraidWord, InvariantProfile]
+"""Profiles already computed, by word; one search owns one memo."""
+
+
+def _profile(word: BraidWord, memo: ProfileMemo) -> InvariantProfile:
+    profile = memo.get(word)
+    if profile is None:
+        profile = memo[word] = profile_of_braid(word)
+    return profile
+
+
+def _identify_as(
+    word: BraidWord, expected: str, memo: ProfileMemo
+) -> InvariantProfile | str:
     """Profile when the closure matches the expected name, else a reason."""
     data = closure_data(word)
     if data.components != 1:
         return f"closure has {data.components} components"
-    profile = profile_of_braid(word)
+    profile = _profile(word, memo)
     names = match_profile(profile)
     if expected not in names:
         found = ", ".join(names) if names else "no table knot"
@@ -215,6 +229,13 @@ def verify_triple(
     Failures are reported as data, never raised. The first expected name
     is the outer split, the second the inner, the third the composite.
     """
+    return _verify(word, k, expected, {})
+
+
+def _verify(
+    word: BraidWord, k: int, expected: tuple[str, str, str], memo: ProfileMemo
+) -> TripleWitness | TripleFailure:
+    """verify_triple's body; profiles come from and go into the memo."""
     table = load_table()
     for name in expected:
         if name not in table:
@@ -225,7 +246,7 @@ def verify_triple(
             return TripleFailure(
                 "degenerate", "empty word can only witness (unknot, unknot, unknot)"
             )
-        trivial = profile_of_braid(BraidWord(1, ()))
+        trivial = _profile(BraidWord(1, ()), memo)
         composite = CompositeBraid(
             word=word, split_index=k, gon_size=0,
             inner_letter_count=0, outer_letter_count=0,
@@ -244,13 +265,13 @@ def verify_triple(
     except SplitIndexError as exc:
         return TripleFailure("split", str(exc))
 
-    outcome_outer = _identify_as(outer, expected[0])
+    outcome_outer = _identify_as(outer, expected[0], memo)
     if isinstance(outcome_outer, str):
         return TripleFailure("outer split", outcome_outer)
-    outcome_inner = _identify_as(inner, expected[1])
+    outcome_inner = _identify_as(inner, expected[1], memo)
     if isinstance(outcome_inner, str):
         return TripleFailure("inner split", outcome_inner)
-    outcome_composite = _identify_as(word, expected[2])
+    outcome_composite = _identify_as(word, expected[2], memo)
     if isinstance(outcome_composite, str):
         return TripleFailure("composite", outcome_composite)
 
@@ -296,12 +317,14 @@ def _candidate_words(strands: int, max_letters: int) -> list[BraidWord]:
     return words
 
 
-def _pool_matching(name: str, strands: int, max_letters: int) -> list[BraidWord]:
+def _pool_matching(
+    name: str, strands: int, max_letters: int, memo: ProfileMemo
+) -> list[BraidWord]:
     pool = []
     for w in _candidate_words(strands, max_letters):
         if closure_data(w).components != 1:
             continue
-        if name in match_profile(profile_of_braid(w)):
+        if name in match_profile(_profile(w, memo)):
             pool.append(w)
     return pool
 
@@ -315,7 +338,10 @@ def search_triples(
     target names, canonically ordered by (length, word, split position).
 
     The inner word realizes the second target name, the outer the first.
-    An exhausted budget yields an empty list, not an error.
+    An exhausted budget yields an empty list, not an error. Each distinct
+    word is profiled at most once per call, and a composite whose
+    |det(V + V^T)| differs from the third target's is dropped unprofiled:
+    match_profile would reject it on the determinant anyway.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -325,7 +351,9 @@ def search_triples(
         if name not in table:
             raise KeyError(f"unknown knot name: {name}")
     name1, name2, name3 = target
+    determinant3 = table[name3].profile.determinant
 
+    memo: ProfileMemo = {}
     witnesses: list[TripleWitness] = []
     pools: dict[tuple[str, int], list[BraidWord]] = {}
     for s1 in range(2, budget.max_strands + 1):
@@ -334,7 +362,7 @@ def search_triples(
                 continue
             for key in ((name2, s1), (name1, s2)):
                 if key not in pools:
-                    pools[key] = _pool_matching(*key, budget.max_total_letters)
+                    pools[key] = _pool_matching(*key, budget.max_total_letters, memo)
             inner_pool, outer_pool = pools[name2, s1], pools[name1, s2]
             for w1 in inner_pool:
                 for w2 in outer_pool:
@@ -350,11 +378,12 @@ def search_triples(
                         for p in positions:
                             shuffle[p] = 1
                         composite = murasugi_concat(w1, w2, shuffle)
-                        if closure_data(composite.word).components != 1:
+                        word = composite.word
+                        if closure_data(word).components != 1:
                             continue
-                        outcome = verify_triple(
-                            composite.word, composite.split_index, target
-                        )
+                        if seifert_matrix_of_braid(word).determinant_invariant() != determinant3:
+                            continue
+                        outcome = _verify(word, composite.split_index, target, memo)
                         if isinstance(outcome, TripleWitness):
                             witnesses.append(outcome)
 

@@ -59,6 +59,9 @@ def test_pencil_determinant_examples():
     assert pencil_determinant([], []) == ONE
     with pytest.raises(ValueError):
         pencil_determinant([[1]], [[1], [2]])
+    # only the first n columns used to be read, giving 1 + t
+    with pytest.raises(ValueError, match="square"):
+        pencil_determinant([[1, 2]], [[1, 2]])
 
 
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(square_matrices(n), square_matrices(n))))
@@ -142,6 +145,9 @@ def test_symmetric_signature_examples():
     assert symmetric_signature([[0, -1], [-1, 0]]) == 0
     assert symmetric_signature([[0, 0], [0, 3]]) == 1
     assert symmetric_signature([[1, 0, 0], [0, -1, 0], [0, 0, 0]]) == 0
+    # only the first n columns used to be read, giving 1
+    with pytest.raises(ValueError, match="square"):
+        symmetric_signature([[1, 5]])
 
 
 @given(st.integers(1, 4).flatmap(square_matrices))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from knotsum import plumbing
 from knotsum.plumbing import (
     RULE_MERGE,
     RULE_SPLIT,
@@ -196,6 +197,31 @@ def test_rewrite_search_cannot_change_the_boundary():
     target = lookup("3_1").profile
     budget = SearchBudget(max_length=6, max_twist=4, max_states=4000)
     assert rewrite_search(PlumbingWord((2, -2)), target, budget) is None
+
+
+def test_rewrite_search_answers_an_unreachable_target_at_once(monkeypatch):
+    def expand(twists, budget):
+        raise AssertionError(f"expanded {twists}")
+
+    monkeypatch.setattr(plumbing, "_neighbors", expand)
+    # 5_2 differs from the boundary of S[2,2] (the trefoil)
+    assert rewrite_search(PlumbingWord((2, 2)), lookup("5_2").profile) is None
+
+
+def test_rewrite_search_builds_no_word_per_state(monkeypatch):
+    built = []
+    check = PlumbingWord.__post_init__
+
+    def counting(self):
+        built.append(self.twists)
+        check(self)
+
+    start = PlumbingWord((0, 2))
+    monkeypatch.setattr(PlumbingWord, "__post_init__", counting)
+    # the leading zero never becomes interior, so no minimal-genus word is reached
+    budget = SearchBudget(max_states=2000)
+    assert rewrite_search(start, lookup("unknot").profile, budget) is None
+    assert built == []
 
 
 def test_two_bridge_fractions_match_determinants():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -187,14 +188,48 @@ def test_search_triples_builds_each_pool_once(monkeypatch):
     calls = []
     build = surgery._pool_matching
 
-    def counting(name, strands, max_letters):
+    def counting(name, strands, max_letters, memo):
         calls.append((name, strands))
-        return build(name, strands, max_letters)
+        return build(name, strands, max_letters, memo)
 
     monkeypatch.setattr(surgery, "_pool_matching", counting)
     budget = TripleBudget(max_total_letters=2, max_strands=4, max_shuffles=8)
     assert search_triples(("unknot", "unknot", "unknot"), budget)
     assert sorted(calls) == [("unknot", 2), ("unknot", 3)]
+
+
+def test_search_triples_profiles_each_word_once(monkeypatch):
+    seen = Counter()
+    profile = surgery.profile_of_braid
+
+    def counting(word):
+        seen[word] += 1
+        return profile(word)
+
+    monkeypatch.setattr(surgery, "profile_of_braid", counting)
+    # the (3_1, 2) and (unknot, 2) pools draw on the same candidate words
+    assert search_triples(("unknot", "3_1", "3_1"), TripleBudget(max_total_letters=4))
+    assert seen
+    assert max(seen.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "target, count, first, last",
+    [
+        (("unknot", "unknot", "3_1"), 24, (-2, -2, -1, -1, 2, 1), (2, 2, 1, 1, -2, -1)),
+        (("unknot", "3_1", "3_1"), 304, (-2, -1, -1, -1), (2, 2, 1, 1, 1, -2)),
+        (("unknot", "unknot", "4_1"), 24, (-2, -2, -1, 2, 1, 1), (2, 2, 1, -2, -1, -1)),
+        (("3_1", "3_1", "5_1"), 24, (-2, -2, -1, -2, -1, -1), (2, 2, 1, 2, 1, 1)),
+    ],
+)
+def test_search_triples_pinned_witnesses(target, count, first, last):
+    witnesses = search_triples(target)
+    assert len(witnesses) == count
+    ends = [witnesses[0].composite, witnesses[-1].composite]
+    assert [(c.word.strands, c.word.letters, c.split_index) for c in ends] == [
+        (3, first, 1),
+        (3, last, 1),
+    ]
 
 
 def test_search_triples_finds_trefoil_composites():
