@@ -71,8 +71,12 @@ class PlumbingWord:
 
     @property
     def is_minimal_genus(self) -> bool:
-        """Zero-twist annuli are compressible; none present means minimal."""
-        return all(v != 0 for v in self.twists)
+        return _minimal_genus(self.twists)
+
+
+def _minimal_genus(twists: tuple[int, ...]) -> bool:
+    """Zero-twist annuli are compressible; none present means minimal."""
+    return 0 not in twists
 
 
 def star4(left: PlumbingWord, right: PlumbingWord) -> PlumbingWord:
@@ -289,7 +293,7 @@ def rewrite_search(start: PlumbingWord,
             if len(parents) >= budget.max_states:
                 return None
             parents[nxt] = (current, step)
-            if all(nxt):
+            if _minimal_genus(nxt):
                 end = PlumbingWord(nxt)
                 if boundary_profile(end).fingerprint() == goal:
                     steps: list[RewriteStep] = []

@@ -222,20 +222,16 @@ def _identify_as(
 
 
 def verify_triple(
-    word: BraidWord, k: int, expected: tuple[str, str, str]
+    word: BraidWord, k: int, expected: tuple[str, str, str],
+    *, _memo: ProfileMemo | None = None,
 ) -> TripleWitness | TripleFailure:
     """Split at k and check all three closures against the expected names.
 
     Failures are reported as data, never raised. The first expected name
     is the outer split, the second the inner, the third the composite.
+    `_memo` is search_triples' profile memo; a direct call gets a fresh one.
     """
-    return _verify(word, k, expected, {})
-
-
-def _verify(
-    word: BraidWord, k: int, expected: tuple[str, str, str], memo: ProfileMemo
-) -> TripleWitness | TripleFailure:
-    """verify_triple's body; profiles come from and go into the memo."""
+    memo = {} if _memo is None else _memo
     table = load_table()
     for name in expected:
         if name not in table:
@@ -383,7 +379,9 @@ def search_triples(
                             continue
                         if seifert_matrix_of_braid(word).determinant_invariant() != determinant3:
                             continue
-                        outcome = _verify(word, composite.split_index, target, memo)
+                        outcome = verify_triple(
+                            word, composite.split_index, target, _memo=memo
+                        )
                         if isinstance(outcome, TripleWitness):
                             witnesses.append(outcome)
 

@@ -213,6 +213,21 @@ def test_search_triples_profiles_each_word_once(monkeypatch):
     assert max(seen.values()) == 1
 
 
+def test_search_triples_verifies_through_verify_triple(monkeypatch):
+    verdicts = []
+    verify = surgery.verify_triple
+
+    def counting(*args, **kwargs):
+        outcome = verify(*args, **kwargs)
+        verdicts.append(isinstance(outcome, TripleWitness))
+        return outcome
+
+    monkeypatch.setattr(surgery, "verify_triple", counting)
+    witnesses = search_triples(("unknot", "3_1", "3_1"), TripleBudget(max_total_letters=4))
+    assert witnesses
+    assert sum(verdicts) == len(witnesses)
+
+
 @pytest.mark.parametrize(
     "target, count, first, last",
     [
