@@ -21,54 +21,41 @@ def _identity(n: int) -> list[list[LaurentPolynomial]]:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def _letter_column(
+    index: int, sign: int, strands: int
+) -> tuple[int, list[tuple[int, LaurentPolynomial]]]:
+    """Column i where a generator's matrix differs from the identity, and its nonzero entries."""
+    if not 1 <= index <= strands - 1:
+        raise ValueError("generator index out of range")
+    i = index - 1  # 0-based row/column of the generator's own coordinate
+    tinv = LaurentPolynomial.monomial(-1)
+    above, diagonal, below = (T, -T, ONE) if sign > 0 else (ONE, -tinv, tinv)
+    entries = ((i - 1, above), (i, diagonal), (i + 1, below))
+    return i, [(k, entry) for k, entry in entries if 0 <= k <= strands - 2]
+
+
 def reduced_burau_letter(index: int, sign: int, strands: int) -> list[list[LaurentPolynomial]]:
     """Reduced Burau matrix of one generator, size (strands-1) x (strands-1)."""
-    n = strands
-    if not 1 <= index <= n - 1:
-        raise ValueError("generator index out of range")
-    m = _identity(n - 1)
-    tinv = LaurentPolynomial.monomial(-1)
-    i = index - 1  # 0-based row/column of the generator's own coordinate
-    if sign > 0:
-        m[i][i] = -T
-        if i - 1 >= 0:
-            m[i - 1][i] = T
-        if i + 1 <= n - 2:
-            m[i + 1][i] = ONE
-    else:
-        m[i][i] = -tinv
-        if i - 1 >= 0:
-            m[i - 1][i] = ONE
-        if i + 1 <= n - 2:
-            m[i + 1][i] = tinv
+    i, column = _letter_column(index, sign, strands)
+    m = _identity(strands - 1)
+    for k, entry in column:
+        m[k][i] = entry
     return m
 
 
 def reduced_burau(word: BraidWord) -> list[list[LaurentPolynomial]]:
+    """Product of the letters' reduced Burau matrices, left to right.
+
+    A letter's matrix differs from the identity in its own column i only,
+    so each letter rewrites column i of the product and leaves the rest.
+    """
     n = word.strands
-    size = n - 1
-    product = _identity(size)
+    product = _identity(n - 1)
     for v in word.letters:
-        letter = reduced_burau_letter(abs(v), 1 if v > 0 else -1, n)
-        product = _matmul(product, letter)
+        i, column = _letter_column(abs(v), 1 if v > 0 else -1, n)
+        for row in product:
+            row[i] = sum((row[k] * entry for k, entry in column if not row[k].is_zero()), ZERO)
     return product
-
-
-def _matmul(
-    a: list[list[LaurentPolynomial]], b: list[list[LaurentPolynomial]]
-) -> list[list[LaurentPolynomial]]:
-    size = len(a)
-    out = [[ZERO] * size for _ in range(size)]
-    for i in range(size):
-        for k in range(size):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(size):
-                bkj = b[k][j]
-                if not bkj.is_zero():
-                    out[i][j] = out[i][j] + aik * bkj
-    return out
 
 
 def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:

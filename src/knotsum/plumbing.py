@@ -15,7 +15,7 @@ no entry is zero, so searches accept a word only in that form.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple
 
 from .profiles import InvariantProfile, profile_of_seifert_matrix
@@ -234,13 +234,16 @@ class SearchBudget:
     max_twist: int = 8
     max_states: int = 1_000_000
 
+    def __post_init__(self) -> None:
+        # fields(), not vars(): a materialized __dict__ slows every later field read
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise ValueError(f"budget {field.name} must be >= 0, got {value}")
+
     def describe(self) -> str:
         return (f"length <= {self.max_length}, |twist| <= {self.max_twist}, "
                 f"states <= {self.max_states}")
-
-
-def _even_range(limit: int) -> range:
-    return range(-limit, limit + 1, 2)
 
 
 def _neighbors(twists: tuple[int, ...],
@@ -252,11 +255,13 @@ def _neighbors(twists: tuple[int, ...],
         if twists[j] == 0 and abs(twists[j - 1] + twists[j + 1]) <= budget.max_twist:
             yield RewriteStep(RULE_MERGE, j), _merged(twists, j)
     if n + 2 <= budget.max_length:
-        for a in _even_range(budget.max_twist):
+        # a plumbing carries even twists only: the even v with |v| <= max_twist
+        evens = range(-(budget.max_twist // 2) * 2, budget.max_twist + 1, 2)
+        for a in evens:
             yield RewriteStep(RULE_STABILIZE, n, (a,)), twists + (a, 0)
         for j in range(n):
             c = twists[j]
-            for x in _even_range(budget.max_twist):
+            for x in evens:
                 if abs(c - x) <= budget.max_twist:
                     yield RewriteStep(RULE_SPLIT, j, (x,)), _split(twists, j, x)
 

@@ -12,7 +12,7 @@ is returned and the selection never exceeds half the letters (rounded up).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .braid import (
     BraidWord,
@@ -295,6 +295,13 @@ class TripleBudget:
     max_total_letters: int = 6
     max_strands: int = 3
     max_shuffles: int = 32
+
+    def __post_init__(self) -> None:
+        # fields(), not vars(): a materialized __dict__ slows every later field read
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise ValueError(f"budget {field.name} must be >= 0, got {value}")
 
     def describe(self) -> str:
         return (

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from knotsum.braid import BraidWord
+from knotsum.braid import BraidWord, closure_data
 from knotsum.burau import alexander_via_burau, reduced_burau, reduced_burau_letter
 from knotsum.laurent import ONE, ZERO, LaurentPolynomial
 from knotsum.seifert import alexander_of_braid
@@ -69,5 +71,49 @@ def test_dual_routes_agree_on_seeded_wide_words():
     # links and split closures included; up to 8 strands and 22 letters,
     # beyond the 5-strand, 12-letter acceptance corpus
     words = random_braid_words(20261018, 400, max_strands=8, max_letters=22)
+    mismatches = [w for w in words if alexander_of_braid(w) != alexander_via_burau(w)]
+    assert not mismatches, mismatches[:3]
+
+
+def _dense_product(word):
+    # reference: the full left-to-right product of the letters' matrices
+    size = word.strands - 1
+    product = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
+    for v in word.letters:
+        letter = reduced_burau_letter(abs(v), 1 if v > 0 else -1, word.strands)
+        product = [
+            [sum((row[k] * letter[k][j] for k in range(size)
+                  if not (row[k].is_zero() or letter[k][j].is_zero())), ZERO)
+             for j in range(size)]
+            for row in product
+        ]
+    return product
+
+
+def test_column_updates_equal_the_dense_product():
+    rng = random.Random(5150)
+    for strands in range(2, 19):
+        alphabet = [s * i for i in range(1, strands) for s in (1, -1)]
+        for length in (rng.randint(1, 8), rng.randint(9, 16)):
+            word = BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
+            assert reduced_burau(word) == _dense_product(word), word
+
+
+def _wide_knot_word(rng, strands):
+    # every generator once, in any order and with any signs, closes to a
+    # knot; inserted squares of generators leave the permutation alone
+    letters = [rng.choice((1, -1)) * i for i in range(1, strands)]
+    rng.shuffle(letters)
+    for _ in range(rng.randint(0, 6)):
+        i = rng.randint(1, strands - 1)
+        at = rng.randint(0, len(letters))
+        letters[at:at] = [rng.choice((1, -1)) * i, rng.choice((1, -1)) * i]
+    return BraidWord(strands, tuple(letters))
+
+
+def test_dual_routes_agree_on_seeded_knots_past_eight_strands():
+    rng = random.Random(1014)
+    words = [_wide_knot_word(rng, rng.randint(10, 14)) for _ in range(150)]
+    assert all(closure_data(w).components == 1 for w in words)
     mismatches = [w for w in words if alexander_of_braid(w) != alexander_via_burau(w)]
     assert not mismatches, mismatches[:3]

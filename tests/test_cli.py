@@ -184,6 +184,13 @@ def test_usage_errors_exit_2(capsys):
             capsys, "search-triples", "unknot", "unknot", "3_1", "--limit", limit
         )
         assert (code, out) == (2, "") and "limit" in err
+    for args in (
+        ("search-triples", "unknot", "unknot", "3_1", "--max-shuffles", "-1"),
+        ("search-triples", "unknot", "unknot", "3_1", "--max-letters", "-1"),
+        ("plumbing", "search", "S[0,2]", "unknot", "--max-states", "-5"),
+    ):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "") and "budget" in err
     assert run(capsys, "verify-triple", "1 2", "--at", "1", "--expect", "a,b")[0] == 2
     code, _, err = run(capsys, "invariants", "1 1 1", "--bogus")
     assert code == 2

@@ -190,6 +190,9 @@ def test_rewrite_search_respects_budget():
     small = SearchBudget(max_length=4, max_twist=4, max_states=1)
     assert rewrite_search(PlumbingWord((2, -2, 0, 0)), target, small) is None
     assert "states" in small.describe()
+    for field in ("max_length", "max_twist", "max_states"):
+        with pytest.raises(ValueError, match=field):
+            SearchBudget(**{field: -1})
 
 
 def test_rewrite_search_cannot_change_the_boundary():
@@ -222,6 +225,22 @@ def test_rewrite_search_builds_no_word_per_state(monkeypatch):
     budget = SearchBudget(max_states=2000)
     assert rewrite_search(start, lookup("unknot").profile, budget) is None
     assert built == []
+
+
+def test_rewrite_search_explores_only_even_twists(monkeypatch):
+    seen = []
+    expand = plumbing._neighbors
+
+    def recording(twists, budget):
+        for step, nxt in expand(twists, budget):
+            seen.append(nxt)
+            yield step, nxt
+
+    monkeypatch.setattr(plumbing, "_neighbors", recording)
+    # an odd twist bound admits only the even twists below it
+    budget = SearchBudget(max_length=5, max_twist=3, max_states=500)
+    assert rewrite_search(PlumbingWord((0, 2)), lookup("unknot").profile, budget) is None
+    assert seen and all(v % 2 == 0 and abs(v) <= 2 for t in seen for v in t)
 
 
 def test_two_bridge_fractions_match_determinants():

@@ -182,6 +182,9 @@ def test_search_triples_limit_and_misses():
     for limit in (0, -1):
         with pytest.raises(ValueError, match="limit"):
             search_triples(("unknot", "unknot", "unknot"), budget, limit=limit)
+    for field in ("max_total_letters", "max_strands", "max_shuffles"):
+        with pytest.raises(ValueError, match=field):
+            TripleBudget(**{field: -1})
 
 
 def test_search_triples_builds_each_pool_once(monkeypatch):
