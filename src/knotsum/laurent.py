@@ -99,17 +99,25 @@ class LaurentPolynomial:
         return sum(c for _, c in self.terms)
 
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division; raises ValueError when a nonzero remainder is left."""
+        """Exact division; raises ValueError when a nonzero remainder is left.
+
+        An exact quotient has lowest exponent self.min_exp - divisor.min_exp,
+        so a quotient term below that proves the division inexact; without
+        that floor a divisor with lead coefficient +-1 would divide forever.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
         rem = {e: c for e, c in self.terms}
         d_hi, d_lead = divisor.terms[-1]
+        q_floor = self.min_exp - divisor.min_exp
         quot: dict[int, int] = {}
         while rem:
             r_hi = max(rem)
             q_exp = r_hi - d_hi
+            if q_exp < q_floor:
+                raise ValueError("inexact polynomial division")
             q_coeff, leftover = divmod(rem[r_hi], d_lead)
             if leftover:
                 raise ValueError("inexact polynomial division")

@@ -37,6 +37,7 @@ above the diagonal per adjacent pair, matching the braid convention
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Sequence
 
 from .braid import BraidWord
@@ -75,10 +76,8 @@ class SeifertMatrix:
 
     def alexander(self) -> LaurentPolynomial:
         """Normalized det(V - t*V^T)."""
-        n = self.size
-        neg_vt = [[-self.rows[j][i] for j in range(n)] for i in range(n)]
-        det = pencil_determinant([list(r) for r in self.rows], neg_vt)
-        return det.normalized()
+        neg_vt = [list(map(neg, col)) for col in zip(*self.rows)]
+        return pencil_determinant(self.rows, neg_vt).normalized()
 
     def signature(self) -> int:
         return symmetric_signature(self.symmetrized())

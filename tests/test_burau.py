@@ -117,3 +117,18 @@ def test_dual_routes_agree_on_seeded_knots_past_eight_strands():
     assert all(closure_data(w).components == 1 for w in words)
     mismatches = [w for w in words if alexander_of_braid(w) != alexander_via_burau(w)]
     assert not mismatches, mismatches[:3]
+
+
+def test_dual_routes_agree_on_long_seeded_knot_words():
+    # 60-100 letters on up to 6 strands: Seifert matrices of 55-99 rows,
+    # far past the corpus of <= 12 letters
+    rng = random.Random(6096)
+    words = []
+    while len(words) < 10:
+        strands = rng.randint(2, 6)
+        alphabet = [s * i for i in range(1, strands) for s in (1, -1)]
+        word = BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(rng.randint(60, 100))))
+        if closure_data(word).components == 1:
+            words.append(word)
+    mismatches = [w for w in words if alexander_of_braid(w) != alexander_via_burau(w)]
+    assert not mismatches, mismatches[:3]

@@ -67,6 +67,21 @@ def test_divide_exact():
     assert ZERO.divide_exact(T) == ZERO
 
 
+def test_inexact_division_by_monic_divisor_raises():
+    # a lead coefficient of +-1 never leaves a remainder in the top term, so
+    # only the quotient's exponent floor can stop these divisions
+    with pytest.raises(ValueError):
+        ONE.divide_exact(geometric_sum(2))
+    with pytest.raises(ValueError):
+        LaurentPolynomial.from_dict({-2: 1, 0: 1}).divide_exact(
+            LaurentPolynomial.from_dict({-1: 1, 0: -1})
+        )
+    # exact divisions with negative exponents still go through
+    assert LaurentPolynomial.from_dict({-2: 1, 0: -1}).divide_exact(
+        LaurentPolynomial.from_dict({-1: 1, 0: 1})
+    ) == LaurentPolynomial.from_dict({-1: 1, 0: -1})
+
+
 def test_normalized_balances_and_signs():
     p = LaurentPolynomial.from_dict({2: -1, 3: 1, 4: -1})
     assert p.normalized().terms == ((-1, 1), (0, -1), (1, 1))

@@ -43,6 +43,9 @@ def test_bareiss_examples():
     # row swap flips the sign
     assert bareiss_determinant([[0, 1], [1, 0]]) == -1
     assert bareiss_determinant([[1, 2], [2, 4]]) == 0
+    # a zero column, and a zero row
+    assert bareiss_determinant([[0, 0], [0, 5]]) == 0
+    assert bareiss_determinant([[1, 2], [0, 0]]) == 0
     with pytest.raises(ValueError):
         bareiss_determinant([[1, 2, 3], [4, 5, 6]])
 
@@ -98,6 +101,91 @@ def test_pencil_matches_laurent_determinant_on_seeded_matrices():
         pencil = [[LaurentPolynomial.from_dict({0: a[i][j], 1: b[i][j]}) for j in range(n)]
                   for i in range(n)]
         assert pencil_determinant(a, b) == laurent_matrix_determinant(pencil), (a, b)
+
+
+def _dense_bareiss(m):
+    # reference: textbook Bareiss touching every entry below and right of the pivot
+    n = len(m)
+    m = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if m[r][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
+
+
+def _sparse_test_matrix(rng, n):
+    # banded or scattered; zeroed diagonal entries force row swaps, and long
+    # zero runs to the right of column 0 make rows sit out several steps
+    # between the updates that touch them (the lazy-scaling path)
+    width = rng.randint(0, 4)
+    m = [[rng.randint(-3, 3) if abs(i - j) <= width and rng.random() < 0.7 else 0
+          for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, n)):
+        m[rng.randrange(n)][rng.randrange(n)] = rng.randint(-9, 9)
+    for k in rng.sample(range(n), n // 3):
+        m[k][k] = 0
+    if n > 2 and rng.random() < 0.5:
+        rows = rng.sample(range(1, n), rng.randint(1, n - 1))
+        for i in rows:
+            m[i][0] = rng.choice((-2, -1, 1, 2))
+    return m
+
+
+def test_kernel_matches_cofactor_expansion_on_seeded_sparse_matrices():
+    rng = random.Random(6151)
+    for trial in range(400):
+        m = _sparse_test_matrix(rng, trial % 6 + 1)
+        assert bareiss_determinant(m) == _cofactor_det(m), m
+
+
+def test_kernel_matches_dense_bareiss_up_to_forty_rows():
+    rng = random.Random(1968)
+    sizes = [rng.randint(1, 40) for _ in range(60)] + [40, 40]
+    for n in sizes:
+        m = _sparse_test_matrix(rng, n)
+        assert bareiss_determinant(m) == _dense_bareiss(m), m
+    for n in (12, 25, 40):
+        # nonsingular and banded, then rows shuffled: nonzero answers that
+        # need many swaps
+        m = [[rng.randint(1, 5) if i == j else rng.choice((0, 0, 1, -1)) * (abs(i - j) <= 2)
+              for j in range(n)] for i in range(n)]
+        rng.shuffle(m)
+        assert bareiss_determinant(m) == _dense_bareiss(m) != 0
+
+
+def test_kernel_on_rows_that_sit_out_steps():
+    # row 3 is updated at step 0, has zeros in columns 1 and 2, and takes
+    # part again at step 3; row 2 first takes part at step 2
+    m = [[2, 0, 0, 1], [0, 3, 1, 0], [0, 0, 5, 2], [4, 0, 0, 7]]
+    assert bareiss_determinant(m) == _cofactor_det(m) == 150
+    # the same for row 4, which is then eliminated below the step-3 pivot
+    m = [[2, 0, 0, 1, 1], [0, 3, 1, 0, 0], [0, 0, 5, 2, 0], [0, 0, 0, 4, 1], [4, 0, 0, 7, 3]]
+    assert bareiss_determinant(m) == _cofactor_det(m) != 0
+    # a zero diagonal at every step: the pivot is always a swapped-in row
+    anti = [[0, 0, 0, 2], [0, 0, 3, 0], [0, 5, 0, 0], [7, 0, 0, 0]]
+    assert bareiss_determinant(anti) == _cofactor_det(anti) == 210
+
+
+def test_pencil_is_invariant_under_simultaneous_permutation():
+    rng = random.Random(1969)
+    for trial in range(40):
+        n = rng.randint(1, 12)
+        a = _random_matrix(rng, n, 0.25)
+        b = _random_matrix(rng, n, 0.25)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pa = [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        pb = [[b[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        assert pencil_determinant(pa, pb) == pencil_determinant(a, b), (a, b, perm)
 
 
 def test_laurent_matrix_determinant_examples():
