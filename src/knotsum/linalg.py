@@ -1,21 +1,23 @@
-"""Exact, fraction-free linear algebra over the integers.
+"""Exact, fraction-free linear algebra over the integers and over Z[t, t^-1].
 
-One integer determinant kernel, `bareiss_determinant`: fraction-free
-elimination (Bareiss 1968) that never touches a zero. A row with a zero
-under the pivot sits the step out, and its missed scalings by p_k/p_(k-1)
+One determinant kernel, `bareiss_determinant`: fraction-free elimination
+(Bareiss 1968) that never touches a zero. Its only divisions are exact,
+so it runs unchanged over any integral domain whose elements support
++, -, *, truth (nonzero) and an exact //: Python ints for the Seifert
+route, Laurent polynomials for the Burau route. A row with a zero under
+the pivot sits the step out, and its missed scalings by p_k/p_(k-1)
 telescope into one exact division by a stored pivot ratio, done when the
 row next takes part; each row update stops at the last nonzero column of
 the pivot row or of the row itself, so fill stays inside the rows'
-skyline. On a matrix of bandwidth b that is O(n*b^2) arithmetic plus
-O(n^2) zero tests (row ends, pivot columns), against O(n^3) arithmetic
-dense.
+skyline. On a matrix of bandwidth b that is O(n*b^2) ring operations
+plus O(n^2) zero tests (row ends, pivot columns), against O(n^3) dense.
 
 Around it: Newton interpolation by exact integer divided differences for
 determinants of matrix pencils A + t*B, evaluated on a reverse
 Cuthill-McKee order (Cuthill & McKee 1969) that gives the sparse Seifert
-pencils a small bandwidth; a minor-expansion determinant for matrices of
-Laurent polynomials; and integer congruence diagonalization for
-symmetric signatures. No floating point is used anywhere in the package.
+pencils a small bandwidth; the same kernel on matrices of Laurent
+polynomials; and integer congruence diagonalization for symmetric
+signatures. No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -23,13 +25,19 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd
 from operator import or_
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .laurent import LaurentPolynomial
 
+R = TypeVar("R")
 
-def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix.
+
+def bareiss_determinant(matrix: Sequence[Sequence[R]]) -> R | int:
+    """Fraction-free determinant of a square matrix over an integral domain.
+
+    Entries are ints or any ring elements with +, -, *, truth and an exact
+    //; the result is the int 1 for an empty matrix and the int 0 for a
+    singular one.
 
     The pivot at step k is the first row at or below k with a nonzero in
     column k (a swap flips the sign). level[i] = L records that row i holds
@@ -187,40 +195,13 @@ def laurent_matrix_determinant(
 ) -> LaurentPolynomial:
     """Determinant of a square Laurent-polynomial matrix.
 
-    Uses minor expansion memoized on column subsets: exact and division
-    free, but the memo holds up to 2^(n-1) minors and each one costs up to
-    n Laurent multiplies, so time and memory double with every added row.
-    An n-strand reduced Burau matrix is (n-1) x (n-1).
+    The Bareiss kernel over Z[t, t^-1]: O(n^3) ring operations, each exact
+    division a long division over the quotient's span, where a minor
+    expansion would hold up to 2^(n-1) minors. An n-strand reduced Burau
+    matrix is (n-1) x (n-1).
     """
-    n = len(matrix)
-    if n == 0:
-        return LaurentPolynomial.constant(1)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    full_mask = (1 << n) - 1
-    memo: dict[int, LaurentPolynomial] = {full_mask: LaurentPolynomial.constant(1)}
-
-    def det_for(mask: int) -> LaurentPolynomial:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        row = bin(mask).count("1")
-        total = LaurentPolynomial()
-        sign = 1
-        for col in range(n):
-            bit = 1 << col
-            if mask & bit:
-                continue
-            entry = matrix[row][col]
-            if not entry.is_zero():
-                sub = det_for(mask | bit)
-                term = entry * sub
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        memo[mask] = total
-        return total
-
-    return det_for(0)
+    det = bareiss_determinant(matrix)
+    return LaurentPolynomial.constant(det) if isinstance(det, int) else det
 
 
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> int:

@@ -64,10 +64,6 @@ class SeifertMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def transpose(self) -> "SeifertMatrix":
-        n = self.size
-        return SeifertMatrix(tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n)))
-
     def symmetrized(self) -> tuple[tuple[int, ...], ...]:
         n = self.size
         return tuple(
@@ -85,14 +81,6 @@ class SeifertMatrix:
     def determinant_invariant(self) -> int:
         """|det(V + V^T)|, the link determinant."""
         return abs(bareiss_determinant(self.symmetrized()))
-
-    def intersection_determinant(self) -> int:
-        """det(V - V^T); +-1 exactly when the boundary is a knot."""
-        n = self.size
-        skew = [
-            [self.rows[i][j] - self.rows[j][i] for j in range(n)] for i in range(n)
-        ]
-        return bareiss_determinant(skew)
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ def test_criterion_6_dual_route_oracles(knot_corpus):
         if via_seifert != via_burau:
             failures.append((word, "alexander routes disagree"))
             continue
-        if abs(via_seifert.evaluate(1)) != 1:
+        if abs(via_seifert.at_one()) != 1:
             failures.append((word, "alexander at 1 is not a unit"))
         det = seifert_matrix_of_braid(word).determinant_invariant()
         if det != abs(via_seifert.at_minus_one()):

@@ -132,3 +132,24 @@ def test_dual_routes_agree_on_long_seeded_knot_words():
             words.append(word)
     mismatches = [w for w in words if alexander_of_braid(w) != alexander_via_burau(w)]
     assert not mismatches, mismatches[:3]
+
+
+def _long_knot_word(rng, strands, length):
+    # random letters, then letters that each join two components of the
+    # closure until it is a knot
+    alphabet = [s * i for i in range(1, strands) for s in (1, -1)]
+    word = BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
+    while (components := closure_data(word).components) > 1:
+        longer = (BraidWord(strands, word.letters + (v,)) for v in rng.sample(alphabet, len(alphabet)))
+        word = next(w for w in longer if closure_data(w).components < components)
+    return word
+
+
+def test_dual_routes_agree_on_knot_words_past_twenty_strands():
+    # 100-120 letters on 20-24 strands: Burau determinants of 19-23 rows,
+    # where a column-subset expansion holds up to 2^(n-1) minors
+    rng = random.Random(2024)
+    words = [_long_knot_word(rng, rng.randint(20, 24), rng.randint(100, 114)) for _ in range(3)]
+    assert all(100 <= len(w.letters) <= 120 for w in words)
+    mismatches = [w for w in words if alexander_of_braid(w) != alexander_via_burau(w)]
+    assert not mismatches, mismatches[:3]

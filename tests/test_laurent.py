@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,14 +41,12 @@ def test_shift_and_mirror():
     assert p.shift(2).terms == ((2, 2), (5, -1))
     assert p.mirror().terms == ((-3, -1), (0, 2))
     sym = LaurentPolynomial.from_dict({-1: 1, 0: -1, 1: 1})
-    assert sym.is_symmetric()
-    assert not p.is_symmetric()
+    assert sym.mirror() == sym
+    assert p.mirror() != p
 
 
-def test_evaluate_is_exact():
+def test_evaluations_at_plus_and_minus_one():
     p = LaurentPolynomial.from_dict({-1: 1, 1: 1})
-    assert p.evaluate(2) == Fraction(5, 2)
-    assert p.evaluate(Fraction(1, 3)) == Fraction(10, 3)
     assert p.at_minus_one() == -2
     assert p.at_one() == 2
 
@@ -65,6 +61,28 @@ def test_divide_exact():
     with pytest.raises(ZeroDivisionError):
         ONE.divide_exact(ZERO)
     assert ZERO.divide_exact(T) == ZERO
+
+
+def test_floor_division_is_exact_division():
+    assert not ZERO and T
+    # a divisor wider than the dividend leaves the quotient no span
+    with pytest.raises(ValueError):
+        T // geometric_sum(3)
+    # an int divisor is a constant: exact, then with a remainder
+    assert LaurentPolynomial.from_dict({-1: 2, 3: -4}) // 2 == LaurentPolynomial.from_dict(
+        {-1: 1, 3: -2}
+    )
+    with pytest.raises(ValueError):
+        LaurentPolynomial.from_dict({0: 2, 1: 3}) // 2
+    with pytest.raises(ZeroDivisionError):
+        T // 0
+    # negative exponents: t^-3 - t^-1 = t^-1 * (t^-2 - 1)
+    assert LaurentPolynomial.from_dict({-3: 1, -1: -1}) // LaurentPolynomial.from_dict(
+        {-2: 1, 0: -1}
+    ) == LaurentPolynomial.monomial(-1)
+    # the top terms divide away, leaving 1 below the quotient's span {0, 1}
+    with pytest.raises(ValueError):
+        geometric_sum(3) // (T + ONE)
 
 
 def test_inexact_division_by_monic_divisor_raises():

@@ -14,18 +14,34 @@ from knotsum.linalg import (
 )
 
 
-def _cofactor_det(m):
+def _cofactor_det(m, one=1):
+    # reference: Laplace expansion down the rows, memoized on the set of
+    # columns the rows above have used; it needs only +, -, * and truth, so
+    # it checks the kernel over Z[t, t^-1] as well as over Z
     n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _cofactor_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    memo = {(1 << n) - 1: one}
+
+    def minor(used):
+        if used not in memo:
+            row = m[bin(used).count("1")]
+            total, sign = one - one, 1
+            for col in range(n):
+                if used >> col & 1:
+                    continue
+                if row[col]:
+                    term = row[col] * minor(used | 1 << col)
+                    total = total + term if sign > 0 else total - term
+                sign = -sign
+            memo[used] = total
+        return memo[used]
+
+    return minor(0)
+
+
+def _at(p, x):
+    # value of a polynomial (no negative exponents) at the integer x
+    assert all(e >= 0 for e, _ in p.terms)
+    return sum(c * x**e for e, c in p.terms)
 
 
 def square_matrices(n, lo=-5, hi=5):
@@ -74,7 +90,7 @@ def test_pencil_matches_evaluations(ab):
     p = pencil_determinant(a, b)
     for x in (-2, 0, 1, 3):
         mx = [[a[i][j] + x * b[i][j] for j in range(n)] for i in range(n)]
-        assert p.evaluate(x) == bareiss_determinant(mx)
+        assert _at(p, x) == bareiss_determinant(mx)
 
 
 def test_pencil_rejects_values_of_no_integer_polynomial(monkeypatch):
@@ -100,7 +116,8 @@ def test_pencil_matches_laurent_determinant_on_seeded_matrices():
             b[rng.randrange(n)] = [0] * n  # singular B: degree drops below n
         pencil = [[LaurentPolynomial.from_dict({0: a[i][j], 1: b[i][j]}) for j in range(n)]
                   for i in range(n)]
-        assert pencil_determinant(a, b) == laurent_matrix_determinant(pencil), (a, b)
+        expected = _cofactor_det(pencil, ONE)
+        assert pencil_determinant(a, b) == laurent_matrix_determinant(pencil) == expected, (a, b)
 
 
 def _dense_bareiss(m):
@@ -195,6 +212,40 @@ def test_laurent_matrix_determinant_examples():
     assert swap == -ONE
     with pytest.raises(ValueError):
         laurent_matrix_determinant([[ONE, ONE]])
+
+
+def _random_laurent(rng):
+    # nonzero: 1-3 terms with exponents in -3..3
+    return LaurentPolynomial.from_dict(
+        {rng.randint(-3, 3): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 3))}
+    )
+
+
+def test_kernel_matches_minor_expansion_over_laurent_polynomials():
+    rng = random.Random(19687)
+    for trial in range(210):
+        n = trial % 7
+        # the integer generator's zeros (swaps, rows that sit out) with a
+        # Laurent polynomial in place of each nonzero
+        m = [[_random_laurent(rng) if v else ZERO for v in row]
+             for row in _sparse_test_matrix(rng, n)]
+        if n > 1 and trial % 5 == 0:
+            # singular: one row a Laurent multiple of another
+            i, j = rng.sample(range(n), 2)
+            f = _random_laurent(rng)
+            m[i] = [f * v for v in m[j]]
+        expected = _cofactor_det(m, ONE)
+        assert laurent_matrix_determinant(m) == expected, m
+        if n > 1 and trial % 5 == 0:
+            assert expected == ZERO
+    p, q = T + ONE, T - LaurentPolynomial.monomial(-1)
+    # a zero pivot at step 0: row 1 swaps in
+    swap = [[ZERO, p, ONE], [q, ONE, ZERO], [ONE, ZERO, p]]
+    # row 3 is updated at step 0, then sits out steps 1 and 2
+    sit_out = [[p, ZERO, ZERO, ONE], [ZERO, q, ONE, ZERO],
+               [ZERO, ZERO, p * q, T], [q, ZERO, ZERO, p]]
+    for m in (swap, sit_out):
+        assert laurent_matrix_determinant(m) == _cofactor_det(m, ONE) != ZERO
 
 
 @given(st.integers(1, 3).flatmap(square_matrices))
