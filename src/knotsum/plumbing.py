@@ -71,12 +71,8 @@ class PlumbingWord:
 
     @property
     def is_minimal_genus(self) -> bool:
-        return _minimal_genus(self.twists)
-
-
-def _minimal_genus(twists: tuple[int, ...]) -> bool:
-    """Zero-twist annuli are compressible; none present means minimal."""
-    return 0 not in twists
+        """Zero-twist annuli are compressible; none present means minimal."""
+        return 0 not in self.twists
 
 
 def star4(left: PlumbingWord, right: PlumbingWord) -> PlumbingWord:
@@ -272,25 +268,26 @@ def rewrite_search(start: PlumbingWord,
     """Breadth-first search through rules 2/3 for a minimal-genus word
     whose boundary matches the target profile (chirality-blind).
 
-    Rule applications preserve the boundary, so a target whose invariants
-    differ from the start's boundary is unreachable: it is answered with
-    None at once, before any state is expanded. Otherwise None means the
-    budget ran out. The search runs on bare twist tuples; a PlumbingWord
-    is built only for a minimal-genus candidate and for the trace's end.
+    The rules fix the start's column, and the column fixes the one
+    minimal-genus word the start can reach (`_minimal_word`); the BFS
+    walks to it only to record the trace. None is exact when that word
+    does not exist (S[0,2]) or the start's boundary misses the target;
+    otherwise it means the budget ran out before the word was reached
+    (S[2,2,0,2] reaches S[2,4], but not under max_twist 2).
     """
     budget = budget or SearchBudget()
-    goal = target.fingerprint()
-    if boundary_profile(start).fingerprint() != goal:
+    goal = _minimal_word(*_column(start.twists))
+    if goal is None or boundary_profile(start).fingerprint() != target.fingerprint():
         return None
-    if start.is_minimal_genus:
-        return RewriteTrace(start=start, end=start, steps=())
 
     # every visited tuple maps to (its predecessor, the step from there)
     parents: dict[tuple[int, ...], tuple[tuple[int, ...], RewriteStep] | None] = {
         start.twists: None
     }
     queue: deque[tuple[int, ...]] = deque([start.twists])
-    while queue:
+    while goal not in parents:
+        if not queue:
+            return None
         current = queue.popleft()
         for step, nxt in _neighbors(current, budget):
             if nxt in parents:
@@ -298,39 +295,49 @@ def rewrite_search(start: PlumbingWord,
             if len(parents) >= budget.max_states:
                 return None
             parents[nxt] = (current, step)
-            if _minimal_genus(nxt):
-                end = PlumbingWord(nxt)
-                if boundary_profile(end).fingerprint() == goal:
-                    steps: list[RewriteStep] = []
-                    link = parents[nxt]
-                    while link is not None:
-                        prev, via = link
-                        steps.append(via)
-                        link = parents[prev]
-                    steps.reverse()
-                    return RewriteTrace(start=start, end=end, steps=tuple(steps))
+            if nxt == goal:
+                break
             queue.append(nxt)
-    return None
+    steps: list[RewriteStep] = []
+    node = goal
+    while parents[node] is not None:
+        node, via = parents[node]
+        steps.append(via)
+    return RewriteTrace(start=start, end=PlumbingWord(goal), steps=tuple(reversed(steps)))
+
+
+def _column(twists: tuple[int, ...]) -> tuple[int, int]:
+    """First column (p, q) of M(a1)...M(an), M(a) = [[-a, -1], [1, 0]];
+    rules 2 and 3 change it only by sign."""
+    x, y = 1, 0
+    for a in reversed(twists):
+        x, y = -a * x - y, x
+    return x, y
+
+
+def _minimal_word(p: int, q: int) -> tuple[int, ...] | None:
+    """The zero-free even word with column +-(p, q), or None: its first
+    entry is the even a with |p + a*q| < |q|, and the rest has column
+    (q, -(p + a*q)) (uniqueness of even continued fractions)."""
+    word: list[int] = []
+    while q:
+        a = 2 * ((q - p) // (2 * q))
+        if abs(q) >= abs(p) or abs(p + a * q) >= abs(q):
+            return None
+        word.append(a)
+        p, q = q, -(p + a * q)
+    return tuple(word) if abs(p) == 1 else None
 
 
 @dataclass(frozen=True)
 class TwoBridgeFraction:
     """Continued-fraction class p/q of a plumbing boundary.
 
-    |p| equals the boundary determinant; p odd means a knot, p even a
-    2-component link, p = 0 the 2-component unlink.
+    |p| equals the boundary determinant.
     """
 
     p: int
     q: int
-
-    @property
-    def is_knot(self) -> bool:
-        return self.p % 2 != 0
-
-    @property
-    def components(self) -> int:
-        return 1 if self.is_knot else 2
 
     def schubert_class(self) -> frozenset[int]:
         """Residues q' with b(p, q') the same unoriented link up to mirror."""
@@ -338,10 +345,8 @@ class TwoBridgeFraction:
         if P == 0:
             return frozenset()
         q = self.q % P
-        if P == 1:
-            return frozenset({0})
         inv = pow(q, -1, P)
-        return frozenset({q, P - q, inv, (P - inv) % P})
+        return frozenset({q, (P - q) % P, inv, (P - inv) % P})
 
     def equivalent_to(self, other: TwoBridgeFraction) -> bool:
         if abs(self.p) != abs(other.p):
@@ -354,16 +359,10 @@ class TwoBridgeFraction:
 def two_bridge_fraction(word: PlumbingWord) -> TwoBridgeFraction:
     """Fraction of the boundary via the twist continued fraction.
 
-    Convention: multiply [[-a, -1], [1, 0]] over the entries; p and q are
-    the first column.  Fixed so |p| matches the boundary determinant.
+    Convention: (p, q) is `_column` of the entries, so |p| matches the
+    boundary determinant.
     """
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for a in word.twists:
-        m00, m01, m10, m11 = (
-            -a * m00 + m01, -m00,
-            -a * m10 + m11, -m10,
-        )
-    p, q = m00, m10
+    p, q = _column(word.twists)
     if p < 0:
         p, q = -p, -q
     return TwoBridgeFraction(p=p, q=q % p if p else (1 if q else 0))

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -15,6 +16,8 @@ from knotsum.plumbing import (
     RewriteTrace,
     SearchBudget,
     TwoBridgeFraction,
+    _column,
+    _minimal_word,
     apply_rule2,
     apply_rule3,
     apply_rule3_inverse,
@@ -25,7 +28,7 @@ from knotsum.plumbing import (
     star4,
     two_bridge_fraction,
 )
-from knotsum.table import lookup
+from knotsum.table import lookup, match_profile, table_names
 
 from corpus import random_plumbing_word
 
@@ -209,6 +212,8 @@ def test_rewrite_search_answers_an_unreachable_target_at_once(monkeypatch):
     monkeypatch.setattr(plumbing, "_neighbors", expand)
     # 5_2 differs from the boundary of S[2,2] (the trefoil)
     assert rewrite_search(PlumbingWord((2, 2)), lookup("5_2").profile) is None
+    # the column (-1, -2) of S[0,2] belongs to no minimal-genus word
+    assert rewrite_search(PlumbingWord((0, 2)), lookup("unknot").profile) is None
 
 
 def test_rewrite_search_builds_no_word_per_state(monkeypatch):
@@ -219,11 +224,11 @@ def test_rewrite_search_builds_no_word_per_state(monkeypatch):
         built.append(self.twists)
         check(self)
 
-    start = PlumbingWord((0, 2))
+    start = PlumbingWord((2, 2, 0, 2))
     monkeypatch.setattr(PlumbingWord, "__post_init__", counting)
-    # the leading zero never becomes interior, so no minimal-genus word is reached
-    budget = SearchBudget(max_states=2000)
-    assert rewrite_search(start, lookup("unknot").profile, budget) is None
+    # the goal S[2,4] needs a twist of 4, so the search expands states in vain
+    budget = SearchBudget(max_twist=2, max_states=2000)
+    assert rewrite_search(start, lookup("5_2").profile, budget) is None
     assert built == []
 
 
@@ -237,9 +242,10 @@ def test_rewrite_search_explores_only_even_twists(monkeypatch):
             yield step, nxt
 
     monkeypatch.setattr(plumbing, "_neighbors", recording)
-    # an odd twist bound admits only the even twists below it
-    budget = SearchBudget(max_length=5, max_twist=3, max_states=500)
-    assert rewrite_search(PlumbingWord((0, 2)), lookup("unknot").profile, budget) is None
+    # an odd twist bound admits only the even twists below it, so the goal
+    # S[2,4] stays out of reach
+    budget = SearchBudget(max_length=6, max_twist=3, max_states=500)
+    assert rewrite_search(PlumbingWord((2, 2, 0, 2)), lookup("5_2").profile, budget) is None
     assert seen and all(v % 2 == 0 and abs(v) <= 2 for t in seen for v in t)
 
 
@@ -253,19 +259,19 @@ def test_two_bridge_fractions_match_determinants():
         ((4, 4), 15),
     ]:
         frac = two_bridge_fraction(PlumbingWord(twists))
-        assert frac.p == det
-        assert frac.is_knot
-        assert frac.components == 1
-        assert boundary_profile(PlumbingWord(twists)).determinant == det
+        boundary = boundary_profile(PlumbingWord(twists))
+        assert frac.p == det == boundary.determinant
+        assert frac.p % 2 == 1 and boundary.components == 1
 
 
 def test_two_bridge_links_and_unlinks():
     hopf = two_bridge_fraction(PlumbingWord((2,)))
-    assert hopf.p == 2 and not hopf.is_knot and hopf.components == 2
+    assert hopf.p == 2 and boundary_profile(PlumbingWord((2,))).components == 2
     unlink = two_bridge_fraction(PlumbingWord((0,)))
-    assert unlink.p == 0
+    assert unlink.p == 0 and boundary_profile(PlumbingWord((0,))).components == 2
     disk = two_bridge_fraction(PlumbingWord())
     assert (disk.p, disk.q) == (1, 0)
+    assert boundary_profile(PlumbingWord()).components == 1
 
 
 def test_schubert_equivalence():
@@ -300,4 +306,75 @@ def test_random_rule_applications_preserve_the_boundary():
             boundary_profile(word).link_key()
             == boundary_profile(after).link_key()
         ), (word, step)
+        # the column is kept up to sign as exact integers, not just mod p
+        p, q = _column(word.twists)
+        assert _column(after.twists) in {(p, q), (-p, -q)}, (word, step)
         checked += 1
+
+
+def test_minimal_word_inverts_the_column():
+    evens = [v for v in range(-8, 9, 2) if v]
+    words = [()]
+    frontier = [()]
+    for _ in range(4):
+        frontier = [w + (a,) for w in frontier for a in evens]
+        words += frontier
+    assert len(words) == 4681
+    for word in words:
+        p, q = _column(word)
+        assert _minimal_word(p, q) == word
+        assert _minimal_word(-p, -q) == word
+    assert _minimal_word(1, 2) is None  # |q| >= |p|: S[0,2] up to sign
+    assert _minimal_word(3, 1) is None  # both odd: no even entry fits
+    assert _minimal_word(4, 2) is None  # no word has a column with a common factor
+
+
+def _reference_search(start, target, budget):
+    """Rewrite search without the column: the first minimal-genus word
+    whose boundary fingerprint matches the target ends it."""
+    goal = target.fingerprint()
+    if boundary_profile(start).fingerprint() != goal:
+        return None
+    if start.is_minimal_genus:
+        return RewriteTrace(start=start, end=start, steps=())
+    parents = {start.twists: None}
+    queue = deque([start.twists])
+    while queue:
+        current = queue.popleft()
+        for step, nxt in plumbing._neighbors(current, budget):
+            if nxt in parents:
+                continue
+            if len(parents) >= budget.max_states:
+                return None
+            parents[nxt] = (current, step)
+            end = PlumbingWord(nxt)
+            if end.is_minimal_genus and boundary_profile(end).fingerprint() == goal:
+                steps = []
+                node = nxt
+                while parents[node] is not None:
+                    node, via = parents[node]
+                    steps.append(via)
+                return RewriteTrace(start=start, end=end, steps=tuple(reversed(steps)))
+            queue.append(nxt)
+    return None
+
+
+def test_rewrite_search_agrees_with_profiling_every_candidate():
+    rng = random.Random(8)
+    names = table_names()
+    budget = SearchBudget(max_length=7, max_twist=6, max_states=3000)
+    found = 0
+    for _ in range(300):
+        size = rng.randint(1, 5)
+        start = PlumbingWord(tuple(rng.choice((-4, -2, 0, 2, 4)) for _ in range(size)))
+        own = match_profile(boundary_profile(start))
+        target = lookup(own[0] if own else rng.choice(names)).profile
+        expected = _reference_search(start, target, budget)
+        got = rewrite_search(start, target, budget)
+        if expected is None:
+            assert got is None, start
+            continue
+        assert got is not None, start
+        assert (got.end, got.steps) == (expected.end, expected.steps), start
+        found += bool(got.steps)
+    assert found >= 20
