@@ -106,16 +106,19 @@ def _cycles(permutation: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 class CompositeBraid:
     """A braid word remembered together with its summing position.
 
-    gon_size is twice the number of letters whose bands attach to the
-    shared Seifert disk: index split_index letters from the inner word
-    plus index split_index+1 letters from the shifted outer word.
+    split_braid(word, split_index) gives back the (outer, inner) factors.
     """
 
     word: BraidWord
     split_index: int
-    gon_size: int
-    inner_letter_count: int
-    outer_letter_count: int
+
+    @property
+    def gon_size(self) -> int:
+        """Twice the number of letters whose bands attach to the shared
+        Seifert disk: the index split_index letters of the inner word plus
+        the index split_index+1 letters of the shifted outer word."""
+        k = self.split_index
+        return 2 * (self.word.index_count(k) + self.word.index_count(k + 1))
 
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
@@ -212,10 +215,12 @@ def murasugi_concat(
     letter comes from w1 or from w2; both subsequences keep their internal
     order. The closures of the two inputs then sit inside the closure of
     the output as a Murasugi sum along the shared strand's disk, and
-    split_braid at k recovers (w2, w1) exactly.
+    split_braid at k recovers (w2, w1) exactly. A word on 1 strand has no
+    strand to share, and either one raises ValueError.
     """
-    if w1.strands < 2 and len(w2.letters) > 0:
-        raise ValueError("inner word needs at least 2 strands to share one with w2")
+    for role, w in (("inner", w1), ("outer", w2)):
+        if w.strands < 2:
+            raise ValueError(f"{role} word is on 1 strand; a summand needs at least 2")
     k = w1.strands - 1
     if shuffle is None:
         shuffle = default_shuffle(len(w1.letters), len(w2.letters))
@@ -233,15 +238,7 @@ def murasugi_concat(
     letters = [next(it2) if b else next(it1) for b in shuffle]
 
     strands = k + w2.strands
-    word = BraidWord(strands, tuple(letters))
-    gon = 2 * (w1.index_count(k) + sum(1 for v in shifted_w2 if abs(v) == k + 1))
-    return CompositeBraid(
-        word=word,
-        split_index=k,
-        gon_size=gon,
-        inner_letter_count=len(w1.letters),
-        outer_letter_count=len(w2.letters),
-    )
+    return CompositeBraid(word=BraidWord(strands, tuple(letters)), split_index=k)
 
 
 def free_reduce(word: BraidWord) -> BraidWord:

@@ -54,7 +54,7 @@ def reduced_burau(word: BraidWord) -> list[list[LaurentPolynomial]]:
     for v in word.letters:
         i, column = _letter_column(abs(v), 1 if v > 0 else -1, n)
         for row in product:
-            row[i] = sum((row[k] * entry for k, entry in column if not row[k].is_zero()), ZERO)
+            row[i] = sum((row[k] * entry for k, entry in column if row[k]), ZERO)
     return product
 
 
@@ -71,7 +71,7 @@ def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
     for i in range(n - 1):
         b[i][i] = b[i][i] - ONE
     det = laurent_matrix_determinant(b)
-    if det.is_zero():
+    if not det:
         return det
     # multiply by (1 - t)/(1 - t^n), i.e. divide by 1 + t + ... + t^(n-1)
     quotient = det.divide_exact(geometric_sum(n))

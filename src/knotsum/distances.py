@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .profiles import InvariantProfile
-from .surgery import SIDE_NEGATIVE, SIDE_POSITIVE, TwistAnnulus
-from .table import load_table
+from .table import load_table, lookup
 
 KIND_BAND_TWIST = "d_bt"
 KIND_GORDIAN = "d_G"
@@ -193,10 +192,7 @@ class _Resolved:
 
 def _resolve(knot: str | InvariantProfile) -> _Resolved:
     if isinstance(knot, str):
-        table = load_table()
-        if knot not in table:
-            raise KeyError(f"unknown knot name: {knot}")
-        return _Resolved(name=knot, profile=table[knot].profile)
+        return _Resolved(name=knot, profile=lookup(knot).profile)
     if isinstance(knot, InvariantProfile):
         return _Resolved(name=None, profile=knot)
     raise TypeError(f"expected knot name or profile, got {type(knot).__name__}")
@@ -220,15 +216,6 @@ def _sum_status(r1: _Resolved, r2: _Resolved, r3: _Resolved) -> tuple[str, str]:
         STATUS_UNDETERMINED,
         "all invariant checks match; equality of K3 and K1 # K2 is beyond invariants",
     )
-
-
-def connected_sum_status(
-    k1: str | InvariantProfile,
-    k2: str | InvariantProfile,
-    k3: str | InvariantProfile,
-) -> tuple[str, str]:
-    """(status, note) for whether K3 can be the connected sum K1 # K2."""
-    return _sum_status(_resolve(k1), _resolve(k2), _resolve(k3))
 
 
 def _lower(r1: _Resolved, r2: _Resolved, r3: _Resolved,
@@ -350,31 +337,6 @@ def _upper(r1: _Resolved, r2: _Resolved, r3: _Resolved, status: str,
     return (min(candidates) if candidates else None), tuple(derivation)
 
 
-def dm_lower_bounds(
-    k1: str | InvariantProfile,
-    k2: str | InvariantProfile,
-    k3: str | InvariantProfile,
-    data: DistanceData | None = None,
-) -> tuple[int, tuple[DerivationEntry, ...]]:
-    """Largest certified lower bound for d_M(K1, K2; K3), with its audit."""
-    data = data or load_distance_data()
-    lower, _, derivation = _lower(_resolve(k1), _resolve(k2), _resolve(k3), data)
-    return lower, derivation
-
-
-def dm_upper_bound(
-    k1: str | InvariantProfile,
-    k2: str | InvariantProfile,
-    k3: str | InvariantProfile,
-    data: DistanceData | None = None,
-) -> tuple[int | None, tuple[DerivationEntry, ...]]:
-    """Smallest constructive upper bound, or None when data is missing."""
-    data = data or load_distance_data()
-    r1, r2, r3 = _resolve(k1), _resolve(k2), _resolve(k3)
-    status, _ = _sum_status(r1, r2, r3)
-    return _upper(r1, r2, r3, status, data)
-
-
 @dataclass(frozen=True)
 class DMInterval:
     lower: int
@@ -410,7 +372,10 @@ def dm_interval(
     k3: str | InvariantProfile,
     data: DistanceData | None = None,
 ) -> DMInterval:
-    """Two-sided certified interval for d_M(K1, K2; K3)."""
+    """Two-sided certified interval for d_M(K1, K2; K3): the one entry point
+    for the bounds, the connected-sum status and their derivation. upper is
+    None when an estimate needs table names or data that is missing.
+    """
     data = data or load_distance_data()
     r1, r2, r3 = _resolve(k1), _resolve(k2), _resolve(k3)
     lower, status, lower_derivation = _lower(r1, r2, r3, data)
@@ -446,9 +411,10 @@ def gon_merge(sizes: Sequence[int], knot_boundary: bool) -> int:
 class GonPlan:
     """Symbolic plan realizing K3 as a Murasugi sum of K1 and K2.
 
-    p annuli turn the surface of the knot sent to K3; q annuli undo the
-    other knot to the unknot. The two batches merge into (2p+2)- and
-    (2q+2)-gons, then one boundary connected sum gives the final gon.
+    p annuli of one positive full twist each turn the surface of the knot
+    sent to K3; q of one negative full twist undo the other knot to the
+    unknot, so p and q fix the annuli. The two batches merge into (2p+2)-
+    and (2q+2)-gons, then one boundary connected sum gives the final gon.
     """
 
     names: tuple[str, str, str]
@@ -456,8 +422,6 @@ class GonPlan:
     to_unknot: str
     p: int
     q: int
-    positive_annuli: tuple[TwistAnnulus, ...]
-    negative_annuli: tuple[TwistAnnulus, ...]
     intermediate_gons: tuple[int, int]
     final_gon: int
 
@@ -490,7 +454,7 @@ def plan_triple_sum(
     """
     data = data or load_distance_data()
     for name in (k1, k2, k3):
-        _resolve(name)
+        lookup(name)
     options = [role for role in _score_roles(data, k1, k2, k3) if role[4] is not None]
     if not options:
         raise DistanceDataError(
@@ -505,12 +469,6 @@ def plan_triple_sum(
         to_unknot=trivialized,
         p=p,
         q=q,
-        positive_annuli=tuple(
-            TwistAnnulus(full_twists=1, side=SIDE_POSITIVE) for _ in range(p)
-        ),
-        negative_annuli=tuple(
-            TwistAnnulus(full_twists=-1, side=SIDE_NEGATIVE) for _ in range(q)
-        ),
         intermediate_gons=(g1, g2),
         final_gon=final,
     )

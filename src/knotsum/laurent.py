@@ -39,9 +39,6 @@ class LaurentPolynomial:
     def monomial(exp: int, coeff: int = 1) -> "LaurentPolynomial":
         return LaurentPolynomial(((exp, coeff),) if coeff else ())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -102,9 +99,9 @@ class LaurentPolynomial:
         self.max_exp - divisor.max_exp, so the loop visits each exponent of
         that span once, and whatever is left below it is the remainder.
         """
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
+        if not self:
             return self
         lo = self.terms[0][0]
         d_lo, (d_hi, lead) = divisor.terms[0][0], divisor.terms[-1]

@@ -273,7 +273,10 @@ def rewrite_search(start: PlumbingWord,
     walks to it only to record the trace. None is exact when that word
     does not exist (S[0,2]) or the start's boundary misses the target;
     otherwise it means the budget ran out before the word was reached
-    (S[2,2,0,2] reaches S[2,4], but not under max_twist 2).
+    (S[2,2,0,2] reaches S[2,4], but not under max_twist 2). Each move
+    changes the length by 2 and normalize ends at that word, so the BFS
+    finds it at depth (n - m)/2, from length n to m, whenever each merge
+    on normalize's trace fits max_twist; then only max_states can run out.
     """
     budget = budget or SearchBudget()
     goal = _minimal_word(*_column(start.twists))

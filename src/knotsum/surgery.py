@@ -29,7 +29,7 @@ from .profiles import (
     profile_of_braid,
 )
 from .seifert import seifert_matrix_of_braid
-from .table import load_table, match_profile
+from .table import load_table, lookup, match_profile
 
 SIDE_POSITIVE = "positive"
 SIDE_NEGATIVE = "negative"
@@ -243,12 +243,8 @@ def verify_triple(
                 "degenerate", "empty word can only witness (unknot, unknot, unknot)"
             )
         trivial = _profile(BraidWord(1, ()), memo)
-        composite = CompositeBraid(
-            word=word, split_index=k, gon_size=0,
-            inner_letter_count=0, outer_letter_count=0,
-        )
         return TripleWitness(
-            composite=composite,
+            composite=CompositeBraid(word=word, split_index=k),
             outer_word=BraidWord(1, ()),
             inner_word=BraidWord(1, ()),
             names=expected,
@@ -271,16 +267,8 @@ def verify_triple(
     if isinstance(outcome_composite, str):
         return TripleFailure("composite", outcome_composite)
 
-    gon = 2 * (word.index_count(k) + word.index_count(k + 1))
-    composite = CompositeBraid(
-        word=word,
-        split_index=k,
-        gon_size=gon,
-        inner_letter_count=len(inner.letters),
-        outer_letter_count=len(outer.letters),
-    )
     return TripleWitness(
-        composite=composite,
+        composite=CompositeBraid(word=word, split_index=k),
         outer_word=outer,
         inner_word=inner,
         names=expected,
@@ -349,12 +337,10 @@ def search_triples(
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     budget = budget or TripleBudget()
-    table = load_table()
-    for name in target:
-        if name not in table:
-            raise KeyError(f"unknown knot name: {name}")
     name1, name2, name3 = target
-    determinant3 = table[name3].profile.determinant
+    for name in target:
+        lookup(name)
+    determinant3 = lookup(name3).profile.determinant
 
     memo: ProfileMemo = {}
     witnesses: list[TripleWitness] = []

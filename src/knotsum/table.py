@@ -43,9 +43,6 @@ class KnotTableEntry:
     nakanishi_index: int | None
     profile: InvariantProfile
 
-    def fingerprint(self) -> tuple:
-        return self.profile.fingerprint()
-
 
 def _parse_row(line: str, lineno: int) -> KnotTableEntry:
     parts = line.split()
@@ -85,7 +82,8 @@ def _single_flip_unknots(word: BraidWord) -> bool:
     return False
 
 
-def _validate(entries: list[KnotTableEntry]) -> list[str]:
+def _validate(entries: list[KnotTableEntry]) -> tuple[list[str], dict[tuple, str]]:
+    """Check every entry; return the report and the fingerprint -> name index."""
     report = []
     seen: dict[tuple, str] = {}
     names: set[str] = set()
@@ -106,7 +104,7 @@ def _validate(entries: list[KnotTableEntry]) -> list[str]:
             raise TableError(f"{entry.name}: closure is not a knot")
         checks.append("knot closure")
 
-        key = entry.fingerprint()
+        key = entry.profile.fingerprint()
         if key in seen:
             raise TableError(
                 f"{entry.name}: fingerprint collides with {seen[key]}"
@@ -131,11 +129,11 @@ def _validate(entries: list[KnotTableEntry]) -> list[str]:
                 )
             checks.append("u=1 witnessed")
         report.append(f"{entry.name}: {', '.join(checks)} ok")
-    return report
+    return report, seen
 
 
 @functools.lru_cache(maxsize=1)
-def _load() -> tuple[Mapping[str, KnotTableEntry], tuple[str, ...]]:
+def _load() -> tuple[Mapping[str, KnotTableEntry], tuple[str, ...], Mapping[tuple, str]]:
     text = resources.files(_DATA_PACKAGE).joinpath(_TABLE_FILE).read_text()
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,8 +143,8 @@ def _load() -> tuple[Mapping[str, KnotTableEntry], tuple[str, ...]]:
         entries.append(_parse_row(line, lineno))
     if not entries:
         raise TableError("table file holds no entries")
-    report = _validate(entries)
-    return {e.name: e for e in entries}, tuple(report)
+    report, index = _validate(entries)
+    return {e.name: e for e in entries}, tuple(report), index
 
 
 def load_table() -> Mapping[str, KnotTableEntry]:
@@ -174,19 +172,13 @@ def lookup(name: str) -> KnotTableEntry:
 def match_profile(profile: InvariantProfile) -> list[str]:
     """Table names whose invariants match, ignoring chirality.
 
-    Compares determinant, |signature|, and the Alexander polynomial up to
-    the t -> 1/t flip.  Several names may match; none is a valid answer.
+    One lookup in the fingerprint index that load-time validation builds:
+    the key is (normalized Alexander polynomial, |signature|, determinant,
+    1). Table polynomials are symmetric and normalized, so this matches
+    the Alexander polynomial up to units and the t -> 1/t flip. Table
+    fingerprints are unique, so at most one name comes back; none is a
+    valid answer.
     """
-    det = profile.determinant
-    sig = abs(profile.signature)
-    alex = profile.alexander.normalized()
-    alex_mirror = alex.mirror().normalized()
-    hits = []
-    for entry in load_table().values():
-        if entry.profile.determinant != det:
-            continue
-        if abs(entry.profile.signature) != sig:
-            continue
-        if entry.profile.alexander in (alex, alex_mirror):
-            hits.append(entry.name)
-    return hits
+    key = (profile.alexander.normalized(), abs(profile.signature), profile.determinant, 1)
+    name = _load()[2].get(key)
+    return [name] if name else []

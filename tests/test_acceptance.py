@@ -16,7 +16,6 @@ from knotsum.burau import alexander_via_burau
 from knotsum.cli import main
 from knotsum.distances import (
     dm_interval,
-    dm_lower_bounds,
     gon_merge,
     plan_triple_sum,
 )
@@ -118,10 +117,10 @@ def test_criterion_2_plumbing_chain_replay():
 
 
 def test_criterion_3_nine_one_obstruction():
-    lower, derivation = dm_lower_bounds("3_1", "3_1", "9_1")
-    ok = lower >= 6
-    report(3, ok, f"lower bound for (3_1, 3_1; 9_1) is {lower}, needs >= 6")
-    assert ok, [entry.serialize() for entry in derivation]
+    interval = dm_interval("3_1", "3_1", "9_1")
+    ok = interval.lower >= 6
+    report(3, ok, f"lower bound for (3_1, 3_1; 9_1) is {interval.lower}, needs >= 6")
+    assert ok, [entry.serialize() for entry in interval.derivation]
 
 
 # --- criterion 4: gon merge arithmetic --------------------------------------
@@ -209,7 +208,7 @@ def test_criterion_8_witness_search():
     witnesses = search_triples(("unknot", "unknot", "3_1"))
     bad = []
     for w in witnesses:
-        lower, _ = dm_lower_bounds(*w.names)
+        lower = dm_interval(*w.names).lower
         if w.gon_size < lower:
             bad.append((w.names, w.gon_size, lower))
     ok = bool(witnesses) and not bad

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -100,8 +101,6 @@ def test_concat_basic():
     assert comp.word == BraidWord(3, (1, 2))
     assert comp.split_index == 1
     assert comp.gon_size == 4
-    assert comp.inner_letter_count == 1
-    assert comp.outer_letter_count == 1
 
 
 def test_concat_shuffle_patterns():
@@ -115,6 +114,19 @@ def test_concat_shuffle_patterns():
         murasugi_concat(w1, w2, (1, 0))
     with pytest.raises(ShuffleError):
         murasugi_concat(w1, w2, (2, 0, 0))
+
+
+def test_every_accepted_concat_splits_back_at_its_split_index():
+    # a 1-strand summand shares no strand, so its composite has no split
+    words = [BraidWord(1, ()), BraidWord(2, ()), BraidWord(2, (1, 1, 1)),
+             BraidWord(3, ()), BraidWord(3, (1, -2))]
+    for w1, w2 in itertools.product(words, repeat=2):
+        try:
+            comp = murasugi_concat(w1, w2)
+        except ValueError:
+            assert 1 in (w1.strands, w2.strands), (w1, w2)
+            continue
+        assert split_braid(comp.word, comp.split_index) == (w2, w1)
 
 
 def test_gon_size_counts_shared_circle_letters():

@@ -83,7 +83,7 @@ def _dense_product(word):
         letter = reduced_burau_letter(abs(v), 1 if v > 0 else -1, word.strands)
         product = [
             [sum((row[k] * letter[k][j] for k in range(size)
-                  if not (row[k].is_zero() or letter[k][j].is_zero())), ZERO)
+                  if row[k] and letter[k][j]), ZERO)
              for j in range(size)]
             for row in product
         ]

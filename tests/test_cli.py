@@ -203,6 +203,10 @@ def test_error_messages_name_the_problem(capsys):
     assert "9_99" in err
     _, _, err = run(capsys, "concat", "1", "1", "--shuffle", "21")
     assert "shuffle" in err.lower()
+    # a 1-strand summand has no strand to share
+    for words in (("1 1 1", ""), ("", "1 1 1")):
+        code, _, err = run(capsys, "concat", *words)
+        assert code == 2 and "1 strand" in err
 
 
 def test_data_file_override(tmp_path, capsys):

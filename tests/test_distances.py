@@ -10,16 +10,12 @@ from knotsum.distances import (
     DistanceDataError,
     DMInterval,
     composite_name,
-    connected_sum_status,
     dm_interval,
-    dm_lower_bounds,
-    dm_upper_bound,
     gon_merge,
     load_distance_data,
     plan_triple_sum,
 )
 from knotsum.profiles import profile_of_braid
-from knotsum.surgery import SIDE_NEGATIVE, SIDE_POSITIVE
 from knotsum.table import table_names
 
 
@@ -96,14 +92,14 @@ def test_composite_name_is_order_free():
 
 
 def test_connected_sum_status():
-    assert connected_sum_status("unknot", "3_1", "3_1")[0] == STATUS_EQUAL
-    assert connected_sum_status("3_1", "unknot", "3_1")[0] == STATUS_EQUAL
-    assert connected_sum_status("3_1", "3_1", "3_1")[0] == STATUS_DISTINCT
+    assert dm_interval("unknot", "3_1", "3_1").connected_sum_status == STATUS_EQUAL
+    assert dm_interval("3_1", "unknot", "3_1").connected_sum_status == STATUS_EQUAL
+    assert dm_interval("3_1", "3_1", "3_1").connected_sum_status == STATUS_DISTINCT
     granny = profile_of_braid(BraidWord(3, (1, 1, 1, 2, 2, 2)))
     p31 = profile_of_braid(BraidWord(2, (1, 1, 1)))
-    assert connected_sum_status(p31, p31, granny)[0] == STATUS_UNDETERMINED
+    assert dm_interval(p31, p31, granny).connected_sum_status == STATUS_UNDETERMINED
     with pytest.raises(KeyError):
-        connected_sum_status("3_1", "3_1", "9_99")
+        dm_interval("3_1", "3_1", "9_99")
 
 
 def test_trefoil_pair_intervals():
@@ -120,9 +116,9 @@ def test_trefoil_pair_intervals():
 
 
 def test_signature_obstruction_example():
-    lower, derivation = dm_lower_bounds("3_1", "3_1", "9_1")
-    assert lower >= 6
-    names = [entry.name for entry in derivation]
+    interval = dm_interval("3_1", "3_1", "9_1")
+    assert interval.lower >= 6
+    names = [entry.name for entry in interval.derivation]
     assert "signature_bound" in names
     assert "split_link_bound" in names
 
@@ -161,11 +157,10 @@ def test_every_table_triple_has_an_interval():
 
 def test_profile_inputs_give_lower_bound_only():
     p31 = profile_of_braid(BraidWord(2, (1, 1, 1)))
-    lower, _ = dm_lower_bounds(p31, p31, p31)
-    assert lower == 4
-    upper, derivation = dm_upper_bound(p31, p31, p31)
-    assert upper is None
-    assert any("needs table names" in e.inputs for e in derivation)
+    interval = dm_interval(p31, p31, p31)
+    assert interval.lower == 4
+    assert interval.upper is None
+    assert any("needs table names" in e.inputs for e in interval.derivation)
 
 
 def test_curated_pairs_tighten_the_upper_bound(tmp_path):
@@ -224,10 +219,6 @@ def test_plan_matches_the_upper_bound_formula():
     plan = plan_triple_sum("3_1", "3_1", "4_1")
     assert plan.final_gon == 2 * (plan.p + plan.q + 1)
     assert plan.final_gon == dm_interval("3_1", "3_1", "4_1").upper
-    assert len(plan.positive_annuli) == plan.p
-    assert len(plan.negative_annuli) == plan.q
-    assert all(a.side == SIDE_POSITIVE for a in plan.positive_annuli)
-    assert all(a.side == SIDE_NEGATIVE for a in plan.negative_annuli)
     assert plan.intermediate_gons == (2 * plan.p + 2, 2 * plan.q + 2)
 
 

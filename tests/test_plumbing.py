@@ -329,6 +329,35 @@ def test_minimal_word_inverts_the_column():
     assert _minimal_word(4, 2) is None  # no word has a column with a common factor
 
 
+def test_normalize_ends_at_the_minimal_word_of_the_column():
+    # normalize only shrinks, by 2 a step; when the column has a minimal
+    # word, normalize ends there, so rewrite_search finds that word at
+    # depth (n - m) / 2 once normalize's merges fit max_twist
+    rng = random.Random(100_000)
+    budget = SearchBudget()
+    searched = 0
+    for _ in range(20_000):
+        size = rng.randint(0, 10)
+        start = PlumbingWord(tuple(rng.choice(range(-8, 9, 2)) for _ in range(size)))
+        trace = normalize(start)
+        goal = _minimal_word(*_column(start.twists))
+        if goal is None:
+            assert not trace.end.is_minimal_genus, start
+            continue
+        assert trace.end.twists == goal, start
+        words = trace.replay()
+        fits = all(
+            abs(word.twists[step.position - 1] + word.twists[step.position + 1]) <= budget.max_twist
+            for step, word in zip(trace.steps, words) if step.rule == RULE_MERGE
+        )
+        if trace.steps and fits and searched < 200:
+            found = rewrite_search(start, boundary_profile(start), budget)
+            assert found.steps == trace.steps, start
+            assert 2 * len(found.steps) == start.size - len(goal)
+            searched += 1
+    assert searched == 200
+
+
 def _reference_search(start, target, budget):
     """Rewrite search without the column: the first minimal-genus word
     whose boundary fingerprint matches the target ends it."""

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from corpus import random_knot_words
 from knotsum.braid import BraidWord, mirror_braid
 from knotsum.profiles import profile_of_braid
 from knotsum.surgery import apply_crossing_changes
@@ -44,7 +47,7 @@ def test_stored_profiles_match_recomputation():
 
 def test_fingerprints_are_unique():
     table = load_table()
-    keys = {entry.fingerprint() for entry in table.values()}
+    keys = {entry.profile.fingerprint() for entry in table.values()}
     assert len(keys) == len(table)
 
 
@@ -95,3 +98,36 @@ def test_match_profile_misses_cleanly():
 
     granny = murasugi_concat(BraidWord(2, (1, 1, 1)), BraidWord(2, (1, 1, 1)))
     assert match_profile(profile_of_braid(granny.word)) == []
+
+
+def _scan(profile):
+    # the linear scan that match_profile's index replaced, kept as reference
+    det = profile.determinant
+    sig = abs(profile.signature)
+    alex = profile.alexander.normalized()
+    alex_mirror = alex.mirror().normalized()
+    return [
+        entry.name for entry in load_table().values()
+        if entry.profile.determinant == det
+        and abs(entry.profile.signature) == sig
+        and entry.profile.alexander in (alex, alex_mirror)
+    ]
+
+
+def test_match_profile_index_agrees_with_a_linear_scan():
+    profiles = []
+    for entry in load_table().values():
+        p = entry.profile
+        profiles.append(p)
+        # the mirror's signature, and an Alexander polynomial off by a unit
+        for unit in (p.alexander.shift(3), -p.alexander.shift(-2)):
+            profiles.append(dataclasses.replace(p, alexander=unit, signature=-p.signature))
+    table_hits = len(profiles)
+    profiles += [profile_of_braid(w) for w in random_knot_words(4104, 300)]
+    hits = 0
+    for p in profiles:
+        expected = _scan(p)
+        assert match_profile(p) == expected, p
+        hits += bool(expected)
+    # every table variant is found, and the random words hit and miss
+    assert table_hits < hits < len(profiles)
