@@ -15,7 +15,7 @@ round-trip tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class BraidSyntaxError(ValueError):
@@ -61,9 +61,6 @@ class BraidWord:
 
     def index_count(self, index: int) -> int:
         return sum(1 for v in self.letters if abs(v) == index)
-
-    def with_letters(self, letters: Iterable[int]) -> "BraidWord":
-        return BraidWord(self.strands, tuple(letters))
 
 
 @dataclass(frozen=True)

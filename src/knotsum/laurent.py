@@ -1,7 +1,12 @@
 """Integer Laurent polynomials in one variable t.
 
-Coefficients are exact Python ints; a polynomial is stored as a sorted
-tuple of (exponent, coefficient) pairs with all coefficients nonzero.
+Coefficients are exact Python ints. A polynomial is stored densely, as the
+exponent `lo` of its lowest term and the tuple `coeffs` of the
+coefficients of t**lo, t**(lo + 1), ...; neither end of `coeffs` is zero,
+and the zero polynomial is (0, ()). The form is canonical, so equality and
+hashing compare fields, sums add aligned slices and trim the ends, and
+products are convolutions (a one-term factor only scales and shifts) that
+need no trim, as the product of two nonzero end coefficients is nonzero.
 This is the coefficient ring for Alexander polynomials, so the class
 carries the normalization used throughout the package: shift exponents
 so the support is balanced around zero and fix the overall sign so the
@@ -11,108 +16,171 @@ top coefficient is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import add
+from typing import Mapping, Sequence
 
 
-def _clean(items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    acc: dict[int, int] = {}
-    for e, c in items:
-        acc[e] = acc.get(e, 0) + c
-    return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaurentPolynomial:
-    """Immutable Laurent polynomial with int coefficients."""
+    """Immutable Laurent polynomial with int coefficients: the sum of coeffs[i] * t**(lo + i).
 
-    terms: tuple[tuple[int, int], ...] = ()
+    The fields must already be canonical; from_coeffs trims any coefficients.
+    """
+
+    lo: int = 0
+    coeffs: tuple[int, ...] = ()
+
+    @staticmethod
+    def from_coeffs(lo: int, coeffs: Sequence[int]) -> "LaurentPolynomial":
+        """The polynomial sum of coeffs[i] * t**(lo + i); zeros at either end are dropped.
+
+        The one builder for outside coefficients: from_dict, parse, constant,
+        monomial and geometric_sum end here. Arithmetic builds canonical
+        fields directly.
+        """
+        hi = len(coeffs)
+        while hi and not coeffs[hi - 1]:
+            hi -= 1
+        if not hi:
+            return LaurentPolynomial()
+        start = 0
+        while not coeffs[start]:
+            start += 1
+        return LaurentPolynomial(lo + start, tuple(coeffs[start:hi]))
 
     @staticmethod
     def from_dict(coeffs: Mapping[int, int]) -> "LaurentPolynomial":
-        return LaurentPolynomial(_clean(coeffs.items()))
+        if not coeffs:
+            return LaurentPolynomial()
+        lo = min(coeffs)
+        dense = [0] * (max(coeffs) - lo + 1)
+        for e, c in coeffs.items():
+            dense[e - lo] = c
+        return LaurentPolynomial.from_coeffs(lo, dense)
 
     @staticmethod
     def constant(c: int) -> "LaurentPolynomial":
-        return LaurentPolynomial(((0, c),) if c else ())
+        return LaurentPolynomial.from_coeffs(0, (c,))
 
     @staticmethod
     def monomial(exp: int, coeff: int = 1) -> "LaurentPolynomial":
-        return LaurentPolynomial(((exp, coeff),) if coeff else ())
+        return LaurentPolynomial.from_coeffs(exp, (coeff,))
+
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The (exponent, coefficient) pairs with nonzero coefficient, by exponent."""
+        lo = self.lo
+        return tuple([(lo + i, c) for i, c in enumerate(self.coeffs) if c])
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def coeff(self, exp: int) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
+        i = exp - self.lo
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     @property
     def min_exp(self) -> int:
-        if not self.terms:
+        if not self.coeffs:
             raise ValueError("zero polynomial has no support")
-        return self.terms[0][0]
+        return self.lo
 
     @property
     def max_exp(self) -> int:
-        if not self.terms:
+        if not self.coeffs:
             raise ValueError("zero polynomial has no support")
-        return self.terms[-1][0]
+        return self.lo + len(self.coeffs) - 1
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return LaurentPolynomial(_clean(self.terms + other.terms))
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        if other.lo < self.lo:
+            self, other = other, self
+        off = other.lo - self.lo
+        end = off + len(other.coeffs)
+        out = list(self.coeffs)
+        if end > len(out):
+            out += [0] * (end - len(out))
+        out[off:end] = map(add, out[off:end], other.coeffs)
+        if out[0] and out[-1]:
+            return LaurentPolynomial(self.lo, tuple(out))
+        return LaurentPolynomial.from_coeffs(self.lo, out)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(tuple((e, -c) for e, c in self.terms))
+        return LaurentPolynomial(self.lo, tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         if isinstance(other, int):
-            return LaurentPolynomial(tuple((e, c * other) for e, c in self.terms) if other else ())
-        prods = [(e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms]
-        return LaurentPolynomial(_clean(prods))
+            if not other:
+                return LaurentPolynomial()
+            if other == 1:
+                return self
+            return LaurentPolynomial(self.lo, tuple([c * other for c in self.coeffs]))
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return LaurentPolynomial()
+        if len(a) < len(b):
+            a, b = b, a
+        lo = self.lo + other.lo
+        y = b[0]
+        if len(b) == 1:  # scale and shift
+            return LaurentPolynomial(lo, a if y == 1 else tuple([x * y for x in a]))
+        na = len(a)
+        out = [x * y for x in a] + [0] * (len(b) - 1)
+        for j in range(1, len(b)):
+            y = b[j]
+            if y:
+                out[j : j + na] = map(add, out[j : j + na], [x * y for x in a])
+        return LaurentPolynomial(lo, tuple(out))
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t**k."""
-        return LaurentPolynomial(tuple((e + k, c) for e, c in self.terms))
+        if not k or not self.coeffs:
+            return self
+        return LaurentPolynomial(self.lo + k, self.coeffs)
 
     def mirror(self) -> "LaurentPolynomial":
         """Substitute t -> 1/t."""
-        return LaurentPolynomial(tuple(sorted((-e, c) for e, c in self.terms)))
+        if not self.coeffs:
+            return self
+        return LaurentPolynomial(1 - self.lo - len(self.coeffs), self.coeffs[::-1])
 
     def at_minus_one(self) -> int:
-        return sum(c if e % 2 == 0 else -c for e, c in self.terms)
+        value = sum(self.coeffs[::2]) - sum(self.coeffs[1::2])
+        return -value if self.lo % 2 else value
 
     def at_one(self) -> int:
-        return sum(c for _, c in self.terms)
+        return sum(self.coeffs)
 
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact division; raises ValueError when a nonzero remainder is left.
 
-        Long division, top term first, on a dense remainder over the span of
-        self: an exact quotient spans self.min_exp - divisor.min_exp to
-        self.max_exp - divisor.max_exp, so the loop visits each exponent of
-        that span once, and whatever is left below it is the remainder.
+        Long division, top term first, on the coefficients of self: an exact
+        quotient spans self.min_exp - divisor.min_exp to self.max_exp -
+        divisor.max_exp, so the loop visits each exponent of that span once,
+        and whatever is left below it is the remainder. An exact quotient
+        needs no trim: its top is self's top over the divisor's lead, and
+        its bottom times the divisor's bottom is self's bottom.
         """
-        if not divisor:
+        d = divisor.coeffs
+        if not d:
             raise ZeroDivisionError("division by zero polynomial")
-        if not self:
+        if not self.coeffs:
             return self
-        lo = self.terms[0][0]
-        d_lo, (d_hi, lead) = divisor.terms[0][0], divisor.terms[-1]
-        width = d_hi - d_lo
-        size = self.terms[-1][0] - lo - width + 1  # quotient span
+        width = len(d) - 1
+        size = len(self.coeffs) - width  # quotient span
         if size <= 0:
             raise ValueError("inexact polynomial division")
-        rem = [0] * (size + width)
-        for e, c in self.terms:
-            rem[e - lo] = c
-        lower = [(e - d_lo, c) for e, c in divisor.terms[:-1]]
+        rem = list(self.coeffs)
+        lead = d[-1]
+        lower = [(j, c) for j, c in enumerate(d[:-1]) if c]
         quot = [0] * size
         for k in range(size - 1, -1, -1):
             top = rem[k + width]
@@ -125,16 +193,23 @@ class LaurentPolynomial:
                     rem[k + j] -= q * c
         if any(rem[:width]):
             raise ValueError("inexact polynomial division")
-        q_lo = lo - d_lo
-        # a list first: tuple() of a generator grows the tuple by repeated
-        # resizes, and that pattern measurably raised peak RSS on Burau runs
-        return LaurentPolynomial(tuple([(q_lo + k, q) for k, q in enumerate(quot) if q]))
+        return LaurentPolynomial(self.lo - divisor.lo, tuple(quot))
 
     def __floordiv__(self, divisor: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        """Exact quotient by divide_exact; an int divisor is a constant."""
-        if isinstance(divisor, int):
-            divisor = LaurentPolynomial.constant(divisor)
-        return self.divide_exact(divisor)
+        """Exact quotient: divide_exact, or each coefficient by an int divisor."""
+        if not isinstance(divisor, int):
+            return self.divide_exact(divisor)
+        if not divisor:
+            raise ZeroDivisionError("division by zero polynomial")
+        if divisor == 1:
+            return self
+        quot = []
+        for c in self.coeffs:
+            q, r = divmod(c, divisor)
+            if r:
+                raise ValueError("inexact polynomial division")
+            quot.append(q)
+        return LaurentPolynomial(self.lo, tuple(quot))
 
     def normalized(self) -> "LaurentPolynomial":
         """Balance the support around exponent 0 and make the top coefficient positive.
@@ -143,16 +218,15 @@ class LaurentPolynomial:
         representative; for link polynomials with an odd exponent spread the
         support is centered as nearly as parity allows.
         """
-        if not self.terms:
+        if not self.coeffs:
             return self
-        lo, hi = self.terms[0][0], self.terms[-1][0]
-        shifted = self.shift(-((lo + hi) // 2))
-        if shifted.terms[-1][1] < 0:
+        shifted = self.shift(-((2 * self.lo + len(self.coeffs) - 1) // 2))
+        if shifted.coeffs[-1] < 0:
             shifted = -shifted
         return shifted
 
     def serialize(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         return ",".join(f"{e}:{c}" for e, c in self.terms)
 
@@ -161,15 +235,15 @@ class LaurentPolynomial:
         text = text.strip()
         if text == "0":
             return LaurentPolynomial()
-        pairs = []
+        acc: dict[int, int] = {}
         for chunk in text.split(","):
-            e_str, c_str = chunk.split(":")
-            pairs.append((int(e_str), int(c_str)))
-        return LaurentPolynomial(_clean(pairs))
+            e, c = map(int, chunk.split(":"))
+            acc[e] = acc.get(e, 0) + c
+        return LaurentPolynomial.from_dict(acc)
 
     def pretty(self) -> str:
         """Human form such as 't - 1 + t^-1'."""
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         bits = []
         for e, c in reversed(self.terms):
@@ -195,4 +269,4 @@ T = LaurentPolynomial.monomial(1)
 
 def geometric_sum(n: int) -> LaurentPolynomial:
     """1 + t + ... + t**(n-1)."""
-    return LaurentPolynomial(tuple((k, 1) for k in range(n)))
+    return LaurentPolynomial.from_coeffs(0, (1,) * n)

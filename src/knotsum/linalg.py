@@ -187,7 +187,7 @@ def pencil_determinant(
         x = points[k]
         coeffs = [up - x * c for up, c in zip([0] + coeffs, coeffs + [0])]
         coeffs[0] += diffs[k]
-    return LaurentPolynomial.from_dict(dict(enumerate(coeffs)))
+    return LaurentPolynomial.from_coeffs(0, coeffs)
 
 
 def laurent_matrix_determinant(
@@ -195,9 +195,12 @@ def laurent_matrix_determinant(
 ) -> LaurentPolynomial:
     """Determinant of a square Laurent-polynomial matrix.
 
-    The Bareiss kernel over Z[t, t^-1]: O(n^3) ring operations, each exact
-    division a long division over the quotient's span, where a minor
-    expansion would hold up to 2^(n-1) minors. An n-strand reduced Burau
+    The Bareiss kernel over Z[t, t^-1]: O(n^3) ring operations, where a
+    minor expansion would hold up to 2^(n-1) minors. On the dense
+    coefficient vectors, a product of polynomials with d and e coefficients
+    costs O(d*e), a sum O(d + e), and an exact division a long division
+    over the quotient's span. The first step's divisor is the kernel's
+    int pivot 1, which // and * return at once. An n-strand reduced Burau
     matrix is (n-1) x (n-1).
     """
     det = bareiss_determinant(matrix)

@@ -137,7 +137,7 @@ def apply_crossing_changes(word: BraidWord, positions) -> CrossingChangeResult:
         else:
             records.append(TwistAnnulus(full_twists=1, side=SIDE_POSITIVE))
     return CrossingChangeResult(
-        word=word.with_letters(letters), records=tuple(records)
+        word=BraidWord(word.strands, tuple(letters)), records=tuple(records)
     )
 
 

@@ -1,12 +1,17 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from knotsum.laurent import ONE, T, ZERO, LaurentPolynomial, geometric_sum
 
-polys = st.dictionaries(
-    st.integers(-6, 6), st.integers(-9, 9), max_size=6
-).map(LaurentPolynomial.from_dict)
+coefficient_dicts = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6)
+polys = coefficient_dicts.map(LaurentPolynomial.from_dict)
+# a polynomial beside its reference: a dict {exponent: nonzero coefficient}
+paired = coefficient_dicts.map(
+    lambda d: ({e: c for e, c in d.items() if c}, LaurentPolynomial.from_dict(d))
+)
 
 
 def test_constructors_drop_zero_coefficients():
@@ -126,6 +131,20 @@ def test_pretty():
     assert LaurentPolynomial.from_dict({2: -3}).pretty() == "-3*t^2"
 
 
+def test_sums_that_cancel_an_end_are_trimmed():
+    top = LaurentPolynomial.from_dict({0: 1, 1: 1, 2: 1}) + LaurentPolynomial.from_dict(
+        {0: 3, 2: -1}
+    )
+    assert (top.lo, top.coeffs) == (0, (4, 1))
+    bottom = LaurentPolynomial.from_dict({-1: 1, 1: 1}) + LaurentPolynomial.from_dict(
+        {-1: -1, 0: 2}
+    )
+    assert (bottom.lo, bottom.coeffs) == (0, (2, 1))
+    zero = (T - ONE) * (T + ONE) - T * T + ONE
+    assert zero == ZERO and hash(zero) == hash(ZERO)
+    assert (zero.lo, zero.coeffs) == (0, ())
+
+
 def test_geometric_sum():
     assert geometric_sum(1) == ONE
     assert geometric_sum(4).terms == ((0, 1), (1, 1), (2, 1), (3, 1))
@@ -165,3 +184,119 @@ def test_normalized_is_idempotent_and_balanced(p):
     if n != ZERO:
         assert n.terms[-1][1] > 0
         assert n.min_exp + n.max_exp in (0, 1)
+
+
+# Reference arithmetic on dicts {exponent: coefficient} with no zero values.
+
+
+def _ref_sum(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_scale(x, k):
+    return {e: c * k for e, c in x.items() if c * k}
+
+
+def _ref_product(x, y):
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_quotient(x, y):
+    """x / y in Z[t, t^-1] by long division over Q, or None when inexact."""
+    if not x:
+        return {}
+    x_lo, y_lo = min(x), min(y)
+    num = [Fraction(x.get(x_lo + i, 0)) for i in range(max(x) - x_lo + 1)]
+    den = [y.get(y_lo + i, 0) for i in range(max(y) - y_lo + 1)]
+    if len(num) < len(den):
+        return None
+    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = num[k + len(den) - 1] / den[-1]
+        for j, c in enumerate(den):
+            num[k + j] -= quot[k] * c
+    if any(num) or any(q.denominator != 1 for q in quot):
+        return None
+    return {x_lo - y_lo + k: int(q) for k, q in enumerate(quot) if q}
+
+
+def _ref_normalized(x):
+    if not x:
+        return {}
+    centre = (min(x) + max(x)) // 2
+    sign = 1 if x[max(x)] > 0 else -1
+    return {e - centre: sign * c for e, c in x.items()}
+
+
+def _assert_matches(p, ref):
+    """p is in canonical form and has the reference's terms."""
+    assert p.terms == tuple(sorted(ref.items()))
+    if p.coeffs:
+        assert p.coeffs[0] and p.coeffs[-1]
+    else:
+        assert p == LaurentPolynomial() and hash(p) == hash(LaurentPolynomial())
+        assert p.lo == 0
+
+
+@given(paired, paired)
+def test_ring_operations_match_reference(x, y):
+    (dx, px), (dy, py) = x, y
+    _assert_matches(px + py, _ref_sum(dx, dy))
+    _assert_matches(px - py, _ref_sum(dx, _ref_scale(dy, -1)))
+    _assert_matches(-px, _ref_scale(dx, -1))
+    _assert_matches(px * py, _ref_product(dx, dy))
+    _assert_matches(px * -3, _ref_scale(dx, -3))
+    _assert_matches(px - px, {})
+
+
+@given(paired)
+def test_cancelling_an_end_term_matches_reference(x):
+    dx, px = x
+    assume(dx)
+    for e in (min(dx), max(dx)):
+        rest = {k: c for k, c in dx.items() if k != e}
+        _assert_matches(px - LaurentPolynomial.monomial(e, dx[e]), rest)
+        _assert_matches(LaurentPolynomial.monomial(e, -dx[e]) + px, rest)
+
+
+@given(paired, paired)
+def test_floor_division_matches_reference(x, y):
+    (dx, px), (dy, py) = x, y
+    assume(dy)
+    expected = _ref_quotient(dx, dy)
+    if expected is None:
+        with pytest.raises(ValueError):
+            px // py
+    else:
+        _assert_matches(px // py, expected)
+    _assert_matches((px * py) // py, dx)
+
+
+@given(paired, st.integers(-4, 4).filter(bool))
+def test_floor_division_by_int_matches_reference(x, k):
+    dx, px = x
+    if all(c % k == 0 for c in dx.values()):
+        _assert_matches(px // k, {e: c // k for e, c in dx.items()})
+    else:
+        with pytest.raises(ValueError):
+            px // k
+    _assert_matches((px * k) // k, dx)
+
+
+@given(paired, st.integers(-5, 5))
+def test_unary_operations_match_reference(x, k):
+    dx, px = x
+    _assert_matches(px.shift(k), {e + k: c for e, c in dx.items()})
+    _assert_matches(px.mirror(), {-e: c for e, c in dx.items()})
+    _assert_matches(px.normalized(), _ref_normalized(dx))
+    _assert_matches(LaurentPolynomial.parse(px.serialize()), dx)
+    assert [px.coeff(e) for e in range(-8, 9)] == [dx.get(e, 0) for e in range(-8, 9)]
+    assert px.at_one() == sum(dx.values())
+    assert px.at_minus_one() == sum(c * (-1) ** (e % 2) for e, c in dx.items())
