@@ -11,8 +11,6 @@ from .braid import (
     SplitIndexError,
     closure_data,
     format_braid,
-    is_knot,
-    mirror_braid,
     murasugi_concat,
     parse_braid,
     split_braid,
@@ -37,7 +35,6 @@ from .plumbing import (
     normalize,
     rewrite_search,
     star4,
-    two_bridge_fraction,
 )
 from .profiles import InvariantProfile, identify
 from .surgery import (
@@ -51,7 +48,7 @@ from .surgery import (
     unknotting_crossing_set,
     verify_triple,
 )
-from .table import KnotTableEntry, TableError, load_table, lookup, table_names
+from .table import KnotTableEntry, TableError, load_table, lookup
 
 __version__ = "0.1.0"
 
@@ -84,11 +81,9 @@ __all__ = [
     "format_braid",
     "gon_merge",
     "identify",
-    "is_knot",
     "load_distance_data",
     "load_table",
     "lookup",
-    "mirror_braid",
     "murasugi_concat",
     "normalize",
     "parse_braid",
@@ -97,8 +92,6 @@ __all__ = [
     "search_triples",
     "split_braid",
     "star4",
-    "table_names",
-    "two_bridge_fraction",
     "unknot_certificate",
     "unknotting_crossing_set",
     "verify_triple",

@@ -169,10 +169,6 @@ def closure_data(word: BraidWord) -> ClosureData:
     )
 
 
-def is_knot(word: BraidWord) -> bool:
-    return closure_data(word).components == 1
-
-
 def split_braid(word: BraidWord, k: int) -> tuple[BraidWord, BraidWord]:
     """Cut the word along strand k+1 into (outer, inner) halves.
 
@@ -247,8 +243,3 @@ def free_reduce(word: BraidWord) -> BraidWord:
         else:
             stack.append(v)
     return BraidWord(word.strands, tuple(stack))
-
-
-def mirror_braid(word: BraidWord) -> BraidWord:
-    """Flip every crossing; the closure becomes the mirror link."""
-    return BraidWord(word.strands, tuple(-v for v in word.letters))

@@ -25,22 +25,11 @@ def _letter_column(
     index: int, sign: int, strands: int
 ) -> tuple[int, list[tuple[int, LaurentPolynomial]]]:
     """Column i where a generator's matrix differs from the identity, and its nonzero entries."""
-    if not 1 <= index <= strands - 1:
-        raise ValueError("generator index out of range")
     i = index - 1  # 0-based row/column of the generator's own coordinate
     tinv = LaurentPolynomial.monomial(-1)
     above, diagonal, below = (T, -T, ONE) if sign > 0 else (ONE, -tinv, tinv)
     entries = ((i - 1, above), (i, diagonal), (i + 1, below))
     return i, [(k, entry) for k, entry in entries if 0 <= k <= strands - 2]
-
-
-def reduced_burau_letter(index: int, sign: int, strands: int) -> list[list[LaurentPolynomial]]:
-    """Reduced Burau matrix of one generator, size (strands-1) x (strands-1)."""
-    i, column = _letter_column(index, sign, strands)
-    m = _identity(strands - 1)
-    for k, entry in column:
-        m[k][i] = entry
-    return m
 
 
 def reduced_burau(word: BraidWord) -> list[list[LaurentPolynomial]]:

@@ -1,6 +1,6 @@
 """Command-line front end. Thin adapters only: every subcommand parses its
-arguments, calls one library entry point, and prints the result either as
-human-readable text or as versioned JSON (--format structured).
+arguments, calls one library entry point, and returns a Report; main prints
+it either as human-readable text or as versioned JSON (--format structured).
 
 Exit codes: 0 success, 1 verification failure (including search not-found,
 with the budget printed), 2 usage error.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .braid import (
     BraidWord,
@@ -56,28 +56,16 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    if args.format == "structured":
-        print(json.dumps({"version": SCHEMA_VERSION, **payload}, indent=2))
-    else:
-        for line in lines:
-            print(line)
+class Report(NamedTuple):
+    """What a subcommand found: the structured payload, the human lines, the exit code."""
+
+    payload: dict
+    lines: list[str]
+    code: int = EXIT_OK
 
 
 def _parse_braid_arg(text: str, strands: int | None = None) -> BraidWord:
     return parse_braid(text.replace(",", " "), strands)
-
-
-def _braid_payload(word: BraidWord) -> dict:
-    data = closure_data(word)
-    return {
-        "word": format_braid(word),
-        "strands": word.strands,
-        "letters": len(word.letters),
-        "permutation_cycles": [list(c) for c in data.cycles()],
-        "components": data.components,
-        "writhe": data.writhe,
-    }
 
 
 def _profile_report(profile) -> tuple[dict, list[str]]:
@@ -100,17 +88,16 @@ def _profile_report(profile) -> tuple[dict, list[str]]:
     return fields, lines
 
 
-def _exhausted(args: argparse.Namespace, what: str, budget, **fields) -> int:
-    """Report a search that ran out of budget, printing the budget."""
-    _emit(
-        args,
+def _exhausted(what: str, budget, **fields) -> Report:
+    """Report a search that ran out of budget, naming the budget."""
+    return Report(
         {"found": False, "budget": budget.describe(), **fields},
         [f"{what} within budget: {budget.describe()}"],
+        EXIT_VERIFICATION,
     )
-    return EXIT_VERIFICATION
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
+def _cmd_invariants(args: argparse.Namespace) -> Report:
     text = args.word.strip()
     if text.startswith("S["):
         word = PlumbingWord.parse(text)
@@ -128,7 +115,16 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     else:
         word = _parse_braid_arg(text, args.strands)
         profile = profile_of_braid(word)
-        payload = {"kind": "braid", **_braid_payload(word)}
+        data = closure_data(word)
+        payload = {
+            "kind": "braid",
+            "word": format_braid(word),
+            "strands": word.strands,
+            "letters": len(word.letters),
+            "permutation_cycles": [list(c) for c in data.cycles()],
+            "components": data.components,
+            "writhe": data.writhe,
+        }
         cycles = " ".join(
             "(" + " ".join(str(v) for v in c) + ")"
             for c in payload["permutation_cycles"]
@@ -141,11 +137,10 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             f"permutation cycles: {cycles}",
         ]
     fields, profile_lines = _profile_report(profile)
-    _emit(args, {**payload, **fields}, lines + profile_lines)
-    return EXIT_OK
+    return Report({**payload, **fields}, lines + profile_lines)
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
+def _cmd_split(args: argparse.Namespace) -> Report:
     word = _parse_braid_arg(args.word, args.strands)
     outer, inner = split_braid(word, args.at)
     payload = {
@@ -155,24 +150,21 @@ def _cmd_split(args: argparse.Namespace) -> int:
         "outer": {"word": format_braid(outer), "strands": outer.strands},
         "inner": {"word": format_braid(inner), "strands": inner.strands},
     }
-    lines = [
+    return Report(payload, [
         f"outer: {format_braid(outer) or '(empty)'}  ({outer.strands} strands)",
         f"inner: {format_braid(inner) or '(empty)'}  ({inner.strands} strands)",
-    ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    ])
 
 
 def _parse_shuffle(text: str) -> tuple[int, ...]:
     cleaned = text.replace(",", " ").replace(" ", "")
     try:
-        bits = tuple(int(ch) for ch in cleaned)
+        return tuple(int(ch) for ch in cleaned)
     except ValueError as exc:
         raise ShuffleError(f"shuffle must be a 0/1 string, got {text!r}") from exc
-    return bits
 
 
-def _cmd_concat(args: argparse.Namespace) -> int:
+def _cmd_concat(args: argparse.Namespace) -> Report:
     w1 = _parse_braid_arg(args.word1)
     w2 = _parse_braid_arg(args.word2)
     shuffle = (
@@ -188,17 +180,15 @@ def _cmd_concat(args: argparse.Namespace) -> int:
         "gon_size": composite.gon_size,
         "shuffle": list(shuffle),
     }
-    lines = [
+    return Report(payload, [
         f"composite: {format_braid(composite.word)}  "
         f"({composite.word.strands} strands)",
         f"split index: {composite.split_index}",
         f"gon size: {composite.gon_size}",
-    ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    ])
 
 
-def _cmd_unknot_set(args: argparse.Namespace) -> int:
+def _cmd_unknot_set(args: argparse.Namespace) -> Report:
     word = _parse_braid_arg(args.word, args.strands)
     positions = unknotting_crossing_set(word, basepoint=args.basepoint)
     changed = apply_crossing_changes(word, positions)
@@ -223,15 +213,11 @@ def _cmd_unknot_set(args: argparse.Namespace) -> int:
         f"flipped word: {format_braid(changed.word) or '(empty)'}",
         f"certificate: {certificate}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK if certificate != CERT_INCONSISTENT else EXIT_VERIFICATION
+    code = EXIT_OK if certificate != CERT_INCONSISTENT else EXIT_VERIFICATION
+    return Report(payload, lines, code)
 
 
-def _format_interval(lower: int, upper: int | None) -> str:
-    return f"[{lower}, {'unknown' if upper is None else upper}]"
-
-
-def _cmd_dm_bounds(args: argparse.Namespace) -> int:
+def _cmd_dm_bounds(args: argparse.Namespace) -> Report:
     data = load_distance_data(args.data)
     interval = dm_interval(args.k1, args.k2, args.k3, data)
     payload = {
@@ -240,7 +226,7 @@ def _cmd_dm_bounds(args: argparse.Namespace) -> int:
     }
     lines = [
         f"d_M({args.k1}, {args.k2}; {args.k3}) in "
-        f"{_format_interval(interval.lower, interval.upper)}",
+        f"[{payload['lower']}, {payload['upper']}]",
         f"connected sum status: {interval.connected_sum_status}",
         "derivation:",
     ]
@@ -249,8 +235,7 @@ def _cmd_dm_bounds(args: argparse.Namespace) -> int:
             lines.append(f"  {entry.name}: {entry.inputs}")
         else:
             lines.append(f"  {entry.name} = {entry.value}  ({entry.inputs})")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return Report(payload, lines)
 
 
 def _trace_lines(trace) -> list[str]:
@@ -273,29 +258,25 @@ def _trace_payload(trace) -> dict:
     }
 
 
-def _cmd_plumbing_normalize(args: argparse.Namespace) -> int:
-    word = PlumbingWord.parse(args.word)
-    trace = normalize(word)
+def _cmd_plumbing_normalize(args: argparse.Namespace) -> Report:
+    trace = normalize(PlumbingWord.parse(args.word))
     preserved = trace.check_profiles()
-    payload = {**_trace_payload(trace), "boundary_preserved": preserved}
-    lines = _trace_lines(trace)
-    lines.append(f"boundary preserved: {'yes' if preserved else 'no'}")
-    _emit(args, payload, lines)
-    return EXIT_OK if preserved else EXIT_VERIFICATION
+    return Report(
+        {**_trace_payload(trace), "boundary_preserved": preserved},
+        _trace_lines(trace) + [f"boundary preserved: {'yes' if preserved else 'no'}"],
+        EXIT_OK if preserved else EXIT_VERIFICATION,
+    )
 
 
-def _cmd_plumbing_boundary(args: argparse.Namespace) -> int:
+def _cmd_plumbing_boundary(args: argparse.Namespace) -> Report:
     word = PlumbingWord.parse(args.word)
     fields, profile_lines = _profile_report(boundary_profile(word))
-    _emit(
-        args,
-        {"word": word.format(), **fields},
-        [f"plumbing: {word.format()}"] + profile_lines,
+    return Report(
+        {"word": word.format(), **fields}, [f"plumbing: {word.format()}"] + profile_lines
     )
-    return EXIT_OK
 
 
-def _cmd_plumbing_search(args: argparse.Namespace) -> int:
+def _cmd_plumbing_search(args: argparse.Namespace) -> Report:
     word = PlumbingWord.parse(args.word)
     target = lookup(args.target).profile
     budget = SearchBudget(
@@ -305,25 +286,25 @@ def _cmd_plumbing_search(args: argparse.Namespace) -> int:
     )
     trace = rewrite_search(word, target, budget)
     if trace is None:
-        return _exhausted(args, "not found", budget)
-    payload = {"found": True, **_trace_payload(trace)}
-    lines = [f"target: {args.target}"] + _trace_lines(trace)
-    _emit(args, payload, lines)
-    return EXIT_OK
+        return _exhausted("not found", budget)
+    return Report(
+        {"found": True, **_trace_payload(trace)},
+        [f"target: {args.target}"] + _trace_lines(trace),
+    )
 
 
-def _cmd_verify_triple(args: argparse.Namespace) -> int:
+def _cmd_verify_triple(args: argparse.Namespace) -> Report:
     word = _parse_braid_arg(args.word, args.strands)
     expected = tuple(name.strip() for name in args.expect.split(","))
     if len(expected) != 3:
         raise ValueError(f"--expect needs three comma-separated names, got {args.expect!r}")
     result = verify_triple(word, args.at, expected)  # type: ignore[arg-type]
     if isinstance(result, TripleFailure):
-        payload = {"ok": False, "failure": result.serialize()}
-        lines = [f"verification failed at {result.stage}: {result.detail}"]
-        _emit(args, payload, lines)
-        return EXIT_VERIFICATION
-    payload = {"ok": True, "witness": result.serialize()}
+        return Report(
+            {"ok": False, "failure": result.serialize()},
+            [f"verification failed at {result.stage}: {result.detail}"],
+            EXIT_VERIFICATION,
+        )
     lines = [
         f"witness: word {format_braid(result.composite.word) or '(empty)'}, "
         f"k {result.composite.split_index}, gon {result.gon_size}",
@@ -331,11 +312,10 @@ def _cmd_verify_triple(args: argparse.Namespace) -> int:
     ]
     if result.degenerate:
         lines.append("degenerate: empty word, no sum structure")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return Report({"ok": True, "witness": result.serialize()}, lines)
 
 
-def _cmd_search_triples(args: argparse.Namespace) -> int:
+def _cmd_search_triples(args: argparse.Namespace) -> Report:
     budget = TripleBudget(
         max_total_letters=args.max_letters,
         max_strands=args.max_strands,
@@ -343,7 +323,7 @@ def _cmd_search_triples(args: argparse.Namespace) -> int:
     )
     witnesses = search_triples((args.k1, args.k2, args.k3), budget, limit=args.limit)
     if not witnesses:
-        return _exhausted(args, "no witnesses", budget, witnesses=[])
+        return _exhausted("no witnesses", budget, witnesses=[])
     payload = {
         "found": True,
         "count": len(witnesses),
@@ -355,34 +335,109 @@ def _cmd_search_triples(args: argparse.Namespace) -> int:
             f"  word: {format_braid(w.composite.word)}  "
             f"k: {w.composite.split_index}  gon: {w.gon_size}"
         )
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return Report(payload, lines)
 
 
-def _cmd_gon_merge(args: argparse.Namespace) -> int:
+def _cmd_gon_merge(args: argparse.Namespace) -> Report:
     total = gon_merge(args.sizes, knot_boundary=args.knot)
     payload = {
         "sizes": list(args.sizes),
         "knot_boundary": args.knot,
         "total": total,
     }
-    _emit(args, payload, [str(total)])
-    return EXIT_OK
+    return Report(payload, [str(total)])
 
 
-def _cmd_plan_triple(args: argparse.Namespace) -> int:
+def _cmd_plan_triple(args: argparse.Namespace) -> Report:
     data = load_distance_data(args.data)
     plan = plan_triple_sum(args.k1, args.k2, args.k3, data)
-    payload = {"plan": plan.serialize()}
-    lines = [
+    return Report({"plan": plan.serialize()}, [
         f"send {plan.to_k3} to {args.k3} ({plan.p} twist annuli), "
         f"send {plan.to_unknot} to the unknot ({plan.q} twist annuli)",
         f"intermediate gons: {plan.intermediate_gons[0]}, "
         f"{plan.intermediate_gons[1]}",
         f"final gon: {plan.final_gon}",
-    ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    ])
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One add_argument call, kept as data."""
+    return flags, options
+
+
+WORD = _arg("word")
+STRANDS = _arg("--strands", type=int, default=None)
+AT = _arg("--at", type=int, required=True, metavar="k")
+KNOTS = (_arg("k1"), _arg("k2"), _arg("k3"))
+
+# name -> (handler, help, arguments in order); a dict in place of the
+# handler is a group, whose entries are its subcommands
+COMMANDS: dict = {
+    "invariants": (_cmd_invariants, "profile of a braid closure or plumbing boundary", (
+        _arg("word", help='braid letters like "1 1 1", or "S[2,4]"'), STRANDS,
+    )),
+    "split": (_cmd_split, "cut a braid word at strand k+1", (WORD, AT, STRANDS)),
+    "concat": (
+        _cmd_concat, "Murasugi-compose two braid words (first is the inner word)",
+        (_arg("word1"), _arg("word2"), _arg("--shuffle", default=None,
+                                            help='0/1 pattern like "0101"')),
+    ),
+    "unknot-set": (
+        _cmd_unknot_set, "walk-selected crossing changes that unknot a braid closure",
+        (WORD, _arg("--basepoint", type=int, default=1), STRANDS),
+    ),
+    "dm-bounds": (_cmd_dm_bounds, "certified interval for d_M(K1, K2; K3)", (
+        *KNOTS, _arg("--data", default=None, help="alternate distance data file"),
+    )),
+    "plumbing": ({
+        "normalize": (
+            _cmd_plumbing_normalize, "strip trailing stabilizations and interior zeros",
+            (_arg("word", help='like "S[2,2,-2,0,2,2]"'),),
+        ),
+        "boundary": (_cmd_plumbing_boundary, "boundary profile + identification", (WORD,)),
+        "search": (
+            _cmd_plumbing_search,
+            "rewrite toward a minimal-genus word with the given boundary",
+            (WORD, _arg("target", help="table knot name"),
+             _arg("--max-length", type=int, default=SearchBudget.max_length),
+             _arg("--max-twist", type=int, default=SearchBudget.max_twist),
+             _arg("--max-states", type=int, default=SearchBudget.max_states)),
+        ),
+    }, "linear plumbing rewrites", ()),
+    "verify-triple": (
+        _cmd_verify_triple, "check that a braid word splits into a named Murasugi triple",
+        (WORD, AT, _arg("--expect", required=True, metavar="K1,K2,K3"), STRANDS),
+    ),
+    "search-triples": (
+        _cmd_search_triples, "enumerate braid witnesses for a Murasugi-sum triple",
+        (*KNOTS,
+         _arg("--max-letters", type=int, default=TripleBudget.max_total_letters),
+         _arg("--max-strands", type=int, default=TripleBudget.max_strands),
+         _arg("--max-shuffles", type=int, default=TripleBudget.max_shuffles),
+         _arg("--limit", type=int, default=None)),
+    ),
+    "gon-merge": (_cmd_gon_merge, "total gon size after merging summing polygons", (
+        _arg("sizes", type=int, nargs="+"),
+        _arg("--knot", action="store_true", help="merge along a knot boundary"),
+    )),
+    "plan-triple": (
+        _cmd_plan_triple, "twist-annulus plan realizing K3 as a sum of K1 and K2",
+        (*KNOTS, _arg("--data", default=None)),
+    ),
+}
+
+
+def _add_commands(sub, commands: dict, common: argparse.ArgumentParser) -> None:
+    for name, (handler, help_text, arguments) in commands.items():
+        if isinstance(handler, dict):
+            group = sub.add_parser(name, help=help_text)
+            inner = group.add_subparsers(dest=f"{name}_command", required=True)
+            _add_commands(inner, handler, common)
+            continue
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,124 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="human",
         help="output style; structured is versioned JSON",
     )
-
     parser = argparse.ArgumentParser(
         prog="knotsum",
         description="Murasugi sums of braid closures and linear plumbings: "
         "invariants, rewrites, and certified d_M bounds.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser(
-        "invariants", parents=[common],
-        help="profile of a braid closure or plumbing boundary",
-    )
-    p.add_argument("word", help='braid letters like "1 1 1", or "S[2,4]"')
-    p.add_argument("--strands", type=int, default=None)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("split", parents=[common], help="cut a braid word at strand k+1")
-    p.add_argument("word")
-    p.add_argument("--at", type=int, required=True, metavar="k")
-    p.add_argument("--strands", type=int, default=None)
-    p.set_defaults(func=_cmd_split)
-
-    p = sub.add_parser(
-        "concat", parents=[common],
-        help="Murasugi-compose two braid words (first is the inner word)",
-    )
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.add_argument("--shuffle", default=None, help='0/1 pattern like "0101"')
-    p.set_defaults(func=_cmd_concat)
-
-    p = sub.add_parser(
-        "unknot-set", parents=[common],
-        help="walk-selected crossing changes that unknot a braid closure",
-    )
-    p.add_argument("word")
-    p.add_argument("--basepoint", type=int, default=1)
-    p.add_argument("--strands", type=int, default=None)
-    p.set_defaults(func=_cmd_unknot_set)
-
-    p = sub.add_parser(
-        "dm-bounds", parents=[common],
-        help="certified interval for d_M(K1, K2; K3)",
-    )
-    p.add_argument("k1")
-    p.add_argument("k2")
-    p.add_argument("k3")
-    p.add_argument("--data", default=None, help="alternate distance data file")
-    p.set_defaults(func=_cmd_dm_bounds)
-
-    plumbing = sub.add_parser("plumbing", help="linear plumbing rewrites")
-    psub = plumbing.add_subparsers(dest="plumbing_command", required=True)
-
-    p = psub.add_parser(
-        "normalize", parents=[common],
-        help="strip trailing stabilizations and interior zeros",
-    )
-    p.add_argument("word", help='like "S[2,2,-2,0,2,2]"')
-    p.set_defaults(func=_cmd_plumbing_normalize)
-
-    p = psub.add_parser(
-        "boundary", parents=[common], help="boundary profile + identification",
-    )
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_plumbing_boundary)
-
-    p = psub.add_parser(
-        "search", parents=[common],
-        help="rewrite toward a minimal-genus word with the given boundary",
-    )
-    p.add_argument("word")
-    p.add_argument("target", help="table knot name")
-    p.add_argument("--max-length", type=int, default=SearchBudget.max_length)
-    p.add_argument("--max-twist", type=int, default=SearchBudget.max_twist)
-    p.add_argument("--max-states", type=int, default=SearchBudget.max_states)
-    p.set_defaults(func=_cmd_plumbing_search)
-
-    p = sub.add_parser(
-        "verify-triple", parents=[common],
-        help="check that a braid word splits into a named Murasugi triple",
-    )
-    p.add_argument("word")
-    p.add_argument("--at", type=int, required=True, metavar="k")
-    p.add_argument("--expect", required=True, metavar="K1,K2,K3")
-    p.add_argument("--strands", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_triple)
-
-    p = sub.add_parser(
-        "search-triples", parents=[common],
-        help="enumerate braid witnesses for a Murasugi-sum triple",
-    )
-    p.add_argument("k1")
-    p.add_argument("k2")
-    p.add_argument("k3")
-    p.add_argument("--max-letters", type=int, default=TripleBudget.max_total_letters)
-    p.add_argument("--max-strands", type=int, default=TripleBudget.max_strands)
-    p.add_argument("--max-shuffles", type=int, default=TripleBudget.max_shuffles)
-    p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(func=_cmd_search_triples)
-
-    p = sub.add_parser(
-        "gon-merge", parents=[common],
-        help="total gon size after merging summing polygons",
-    )
-    p.add_argument("sizes", type=int, nargs="+")
-    p.add_argument("--knot", action="store_true", help="merge along a knot boundary")
-    p.set_defaults(func=_cmd_gon_merge)
-
-    p = sub.add_parser(
-        "plan-triple", parents=[common],
-        help="twist-annulus plan realizing K3 as a sum of K1 and K2",
-    )
-    p.add_argument("k1")
-    p.add_argument("k2")
-    p.add_argument("k3")
-    p.add_argument("--data", default=None)
-    p.set_defaults(func=_cmd_plan_triple)
-
+    _add_commands(parser.add_subparsers(dest="subcommand", required=True), COMMANDS, common)
     return parser
 
 
@@ -521,7 +464,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        report = args.func(args)
     except KeyError as exc:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
@@ -529,6 +472,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "structured":
+        print(json.dumps({"version": SCHEMA_VERSION, **report.payload}, indent=2))
+    else:
+        for line in report.lines:
+            print(line)
+    return report.code
 
 
 if __name__ == "__main__":

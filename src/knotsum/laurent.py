@@ -24,11 +24,22 @@ from typing import Mapping, Sequence
 class LaurentPolynomial:
     """Immutable Laurent polynomial with int coefficients: the sum of coeffs[i] * t**(lo + i).
 
-    The fields must already be canonical; from_coeffs trims any coefficients.
+    The constructor takes canonical fields only and raises ValueError on any
+    other; from_coeffs trims any coefficients. Arithmetic builds its
+    canonical results through _make, which skips the check.
     """
 
     lo: int = 0
     coeffs: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        c = self.coeffs
+        # canonical: a tuple with no zero at either end; the zero polynomial is (0, ())
+        if not (isinstance(c, tuple) and (c[0] and c[-1] if c else self.lo == 0)):
+            raise ValueError(
+                f"non-canonical fields lo={self.lo}, coeffs={c!r}; "
+                "build from any coefficients with LaurentPolynomial.from_coeffs"
+            )
 
     @staticmethod
     def from_coeffs(lo: int, coeffs: Sequence[int]) -> "LaurentPolynomial":
@@ -36,22 +47,22 @@ class LaurentPolynomial:
 
         The one builder for outside coefficients: from_dict, parse, constant,
         monomial and geometric_sum end here. Arithmetic builds canonical
-        fields directly.
+        fields directly, through _make.
         """
         hi = len(coeffs)
         while hi and not coeffs[hi - 1]:
             hi -= 1
         if not hi:
-            return LaurentPolynomial()
+            return ZERO
         start = 0
         while not coeffs[start]:
             start += 1
-        return LaurentPolynomial(lo + start, tuple(coeffs[start:hi]))
+        return _make(lo + start, tuple(coeffs[start:hi]))
 
     @staticmethod
     def from_dict(coeffs: Mapping[int, int]) -> "LaurentPolynomial":
         if not coeffs:
-            return LaurentPolynomial()
+            return ZERO
         lo = min(coeffs)
         dense = [0] * (max(coeffs) - lo + 1)
         for e, c in coeffs.items():
@@ -79,18 +90,6 @@ class LaurentPolynomial:
         i = exp - self.lo
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    @property
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no support")
-        return self.lo
-
-    @property
-    def max_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no support")
-        return self.lo + len(self.coeffs) - 1
-
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if not other.coeffs:
             return self
@@ -105,38 +104,38 @@ class LaurentPolynomial:
             out += [0] * (end - len(out))
         out[off:end] = map(add, out[off:end], other.coeffs)
         if out[0] and out[-1]:
-            return LaurentPolynomial(self.lo, tuple(out))
+            return _make(self.lo, tuple(out))
         return LaurentPolynomial.from_coeffs(self.lo, out)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.lo, tuple([-c for c in self.coeffs]))
+        return _make(self.lo, tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         if isinstance(other, int):
             if not other:
-                return LaurentPolynomial()
+                return ZERO
             if other == 1:
                 return self
-            return LaurentPolynomial(self.lo, tuple([c * other for c in self.coeffs]))
+            return _make(self.lo, tuple([c * other for c in self.coeffs]))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return LaurentPolynomial()
+            return ZERO
         if len(a) < len(b):
             a, b = b, a
         lo = self.lo + other.lo
         y = b[0]
         if len(b) == 1:  # scale and shift
-            return LaurentPolynomial(lo, a if y == 1 else tuple([x * y for x in a]))
+            return _make(lo, a if y == 1 else tuple([x * y for x in a]))
         na = len(a)
         out = [x * y for x in a] + [0] * (len(b) - 1)
         for j in range(1, len(b)):
             y = b[j]
             if y:
                 out[j : j + na] = map(add, out[j : j + na], [x * y for x in a])
-        return LaurentPolynomial(lo, tuple(out))
+        return _make(lo, tuple(out))
 
     __rmul__ = __mul__
 
@@ -144,13 +143,13 @@ class LaurentPolynomial:
         """Multiply by t**k."""
         if not k or not self.coeffs:
             return self
-        return LaurentPolynomial(self.lo + k, self.coeffs)
+        return _make(self.lo + k, self.coeffs)
 
     def mirror(self) -> "LaurentPolynomial":
         """Substitute t -> 1/t."""
         if not self.coeffs:
             return self
-        return LaurentPolynomial(1 - self.lo - len(self.coeffs), self.coeffs[::-1])
+        return _make(1 - self.lo - len(self.coeffs), self.coeffs[::-1])
 
     def at_minus_one(self) -> int:
         value = sum(self.coeffs[::2]) - sum(self.coeffs[1::2])
@@ -163,11 +162,12 @@ class LaurentPolynomial:
         """Exact division; raises ValueError when a nonzero remainder is left.
 
         Long division, top term first, on the coefficients of self: an exact
-        quotient spans self.min_exp - divisor.min_exp to self.max_exp -
-        divisor.max_exp, so the loop visits each exponent of that span once,
-        and whatever is left below it is the remainder. An exact quotient
-        needs no trim: its top is self's top over the divisor's lead, and
-        its bottom times the divisor's bottom is self's bottom.
+        quotient's exponents run from self's lowest minus the divisor's lowest
+        to self's highest minus the divisor's highest, so the loop visits each
+        exponent of that span once, and whatever is left below it is the
+        remainder. An exact quotient needs no trim: its top is self's top
+        over the divisor's lead, and its bottom times the divisor's bottom is
+        self's bottom.
         """
         d = divisor.coeffs
         if not d:
@@ -193,7 +193,7 @@ class LaurentPolynomial:
                     rem[k + j] -= q * c
         if any(rem[:width]):
             raise ValueError("inexact polynomial division")
-        return LaurentPolynomial(self.lo - divisor.lo, tuple(quot))
+        return _make(self.lo - divisor.lo, tuple(quot))
 
     def __floordiv__(self, divisor: "LaurentPolynomial | int") -> "LaurentPolynomial":
         """Exact quotient: divide_exact, or each coefficient by an int divisor."""
@@ -209,7 +209,7 @@ class LaurentPolynomial:
             if r:
                 raise ValueError("inexact polynomial division")
             quot.append(q)
-        return LaurentPolynomial(self.lo, tuple(quot))
+        return _make(self.lo, tuple(quot))
 
     def normalized(self) -> "LaurentPolynomial":
         """Balance the support around exponent 0 and make the top coefficient positive.
@@ -234,7 +234,7 @@ class LaurentPolynomial:
     def parse(text: str) -> "LaurentPolynomial":
         text = text.strip()
         if text == "0":
-            return LaurentPolynomial()
+            return ZERO
         acc: dict[int, int] = {}
         for chunk in text.split(","):
             e, c = map(int, chunk.split(":"))
@@ -260,6 +260,19 @@ class LaurentPolynomial:
         for sign, body in bits[1:]:
             out += f" {sign} {body}"
         return out
+
+
+_new = object.__new__
+_set_lo = LaurentPolynomial.lo.__set__
+_set_coeffs = LaurentPolynomial.coeffs.__set__
+
+
+def _make(lo: int, coeffs: tuple[int, ...]) -> LaurentPolynomial:
+    """The polynomial with these fields, which must already be canonical (unchecked)."""
+    p = _new(LaurentPolynomial)
+    _set_lo(p, lo)
+    _set_coeffs(p, coeffs)
+    return p
 
 
 ZERO = LaurentPolynomial()

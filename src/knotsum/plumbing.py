@@ -143,7 +143,7 @@ def apply_step(word: PlumbingWord, step: RewriteStep) -> PlumbingWord:
     if step.rule == RULE_SUM:
         if step.position != word.size:
             raise PlumbingError("sum step must attach at the word's end")
-        return PlumbingWord(word.twists + step.params)
+        return star4(word, PlumbingWord(step.params))
     if step.rule == RULE_STABILIZE:
         return apply_rule2(word, step.params[0], forward=True)
     if step.rule == RULE_UNSTABILIZE:
@@ -330,42 +330,3 @@ def _minimal_word(p: int, q: int) -> tuple[int, ...] | None:
         word.append(a)
         p, q = q, -(p + a * q)
     return tuple(word) if abs(p) == 1 else None
-
-
-@dataclass(frozen=True)
-class TwoBridgeFraction:
-    """Continued-fraction class p/q of a plumbing boundary.
-
-    |p| equals the boundary determinant.
-    """
-
-    p: int
-    q: int
-
-    def schubert_class(self) -> frozenset[int]:
-        """Residues q' with b(p, q') the same unoriented link up to mirror."""
-        P = abs(self.p)
-        if P == 0:
-            return frozenset()
-        q = self.q % P
-        inv = pow(q, -1, P)
-        return frozenset({q, (P - q) % P, inv, (P - inv) % P})
-
-    def equivalent_to(self, other: TwoBridgeFraction) -> bool:
-        if abs(self.p) != abs(other.p):
-            return False
-        if abs(self.p) == 0:
-            return True
-        return bool(self.schubert_class() & other.schubert_class())
-
-
-def two_bridge_fraction(word: PlumbingWord) -> TwoBridgeFraction:
-    """Fraction of the boundary via the twist continued fraction.
-
-    Convention: (p, q) is `_column` of the entries, so |p| matches the
-    boundary determinant.
-    """
-    p, q = _column(word.twists)
-    if p < 0:
-        p, q = -p, -q
-    return TwoBridgeFraction(p=p, q=q % p if p else (1 if q else 0))

@@ -237,6 +237,11 @@ def verify_triple(
         if name not in table:
             return TripleFailure("names", f"unknown knot name: {name}")
 
+    try:
+        outer, inner = split_braid(word, k)
+    except SplitIndexError as exc:
+        return TripleFailure("split", str(exc))
+
     if not word.letters:
         if set(expected) != {"unknot"}:
             return TripleFailure(
@@ -245,17 +250,12 @@ def verify_triple(
         trivial = _profile(BraidWord(1, ()), memo)
         return TripleWitness(
             composite=CompositeBraid(word=word, split_index=k),
-            outer_word=BraidWord(1, ()),
-            inner_word=BraidWord(1, ()),
+            outer_word=outer,
+            inner_word=inner,
             names=expected,
             profiles=(trivial, trivial, trivial),
             degenerate=True,
         )
-
-    try:
-        outer, inner = split_braid(word, k)
-    except SplitIndexError as exc:
-        return TripleFailure("split", str(exc))
 
     outcome_outer = _identify_as(outer, expected[0], memo)
     if isinstance(outcome_outer, str):

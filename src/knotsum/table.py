@@ -82,13 +82,11 @@ def _single_flip_unknots(word: BraidWord) -> bool:
     return False
 
 
-def _validate(entries: list[KnotTableEntry]) -> tuple[list[str], dict[tuple, str]]:
-    """Check every entry; return the report and the fingerprint -> name index."""
-    report = []
+def _validate(entries: list[KnotTableEntry]) -> dict[tuple, str]:
+    """Check every entry; return the fingerprint -> name index."""
     seen: dict[tuple, str] = {}
     names: set[str] = set()
     for entry in entries:
-        checks = []
         if entry.name in names:
             raise TableError(f"{entry.name}: duplicate name")
         names.add(entry.name)
@@ -99,10 +97,8 @@ def _validate(entries: list[KnotTableEntry]) -> tuple[list[str], dict[tuple, str
                 f"{entry.name}: cached profile disagrees with recomputation "
                 f"(cached {entry.profile.serialize()}, got {recomputed.serialize()})"
             )
-        checks.append("profile")
         if not recomputed.is_knot:
             raise TableError(f"{entry.name}: closure is not a knot")
-        checks.append("knot closure")
 
         key = entry.profile.fingerprint()
         if key in seen:
@@ -110,30 +106,25 @@ def _validate(entries: list[KnotTableEntry]) -> tuple[list[str], dict[tuple, str
                 f"{entry.name}: fingerprint collides with {seen[key]}"
             )
         seen[key] = entry.name
-        checks.append("unique fingerprint")
 
         # u >= |sigma|/2 always; u = 1 rows must expose a one-flip unknotting.
         if 2 * entry.unknotting_number < abs(entry.profile.signature):
             raise TableError(
                 f"{entry.name}: u={entry.unknotting_number} below signature bound"
             )
-        checks.append("signature bound")
         if entry.unknotting_number == 0:
             if key != UNKNOT_PROFILE_KEY:
                 raise TableError(f"{entry.name}: u=0 but profile is nontrivial")
-            checks.append("u=0 witnessed")
         elif entry.unknotting_number == 1:
             if not _single_flip_unknots(entry.word):
                 raise TableError(
                     f"{entry.name}: u=1 but no single letter flip trivializes"
                 )
-            checks.append("u=1 witnessed")
-        report.append(f"{entry.name}: {', '.join(checks)} ok")
-    return report, seen
+    return seen
 
 
 @functools.lru_cache(maxsize=1)
-def _load() -> tuple[Mapping[str, KnotTableEntry], tuple[str, ...], Mapping[tuple, str]]:
+def _load() -> tuple[Mapping[str, KnotTableEntry], Mapping[tuple, str]]:
     text = resources.files(_DATA_PACKAGE).joinpath(_TABLE_FILE).read_text()
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -143,22 +134,12 @@ def _load() -> tuple[Mapping[str, KnotTableEntry], tuple[str, ...], Mapping[tupl
         entries.append(_parse_row(line, lineno))
     if not entries:
         raise TableError("table file holds no entries")
-    report, index = _validate(entries)
-    return {e.name: e for e in entries}, tuple(report), index
+    return {e.name: e for e in entries}, _validate(entries)
 
 
 def load_table() -> Mapping[str, KnotTableEntry]:
     """All entries keyed by name, validated once per process."""
     return _load()[0]
-
-
-def validation_report() -> tuple[str, ...]:
-    """Per-entry lines describing which load-time checks passed."""
-    return _load()[1]
-
-
-def table_names() -> tuple[str, ...]:
-    return tuple(load_table())
 
 
 def lookup(name: str) -> KnotTableEntry:
@@ -180,5 +161,5 @@ def match_profile(profile: InvariantProfile) -> list[str]:
     valid answer.
     """
     key = (profile.alexander.normalized(), abs(profile.signature), profile.determinant, 1)
-    name = _load()[2].get(key)
+    name = _load()[1].get(key)
     return [name] if name else []

@@ -3,20 +3,20 @@ import random
 import pytest
 
 from knotsum.braid import BraidWord, closure_data
-from knotsum.burau import alexander_via_burau, reduced_burau, reduced_burau_letter
-from knotsum.laurent import ONE, ZERO, LaurentPolynomial
+from knotsum.burau import alexander_via_burau, reduced_burau
+from knotsum.laurent import ONE, T, ZERO, LaurentPolynomial
 from knotsum.seifert import alexander_of_braid
 
 from corpus import random_braid_words, random_knot_words
 
 
 def test_letter_matrix_two_strands():
-    m = reduced_burau_letter(1, 1, 2)
+    m = reduced_burau(BraidWord(2, (1,)))
     assert m == [[LaurentPolynomial.monomial(1, -1)]]
-    minv = reduced_burau_letter(1, -1, 2)
+    minv = reduced_burau(BraidWord(2, (-1,)))
     assert minv == [[LaurentPolynomial.monomial(-1, -1)]]
     with pytest.raises(ValueError):
-        reduced_burau_letter(2, 1, 2)
+        reduced_burau(BraidWord(2, (2,)))
 
 
 def test_letter_inverse_pairs_cancel():
@@ -75,12 +75,27 @@ def test_dual_routes_agree_on_seeded_wide_words():
     assert not mismatches, mismatches[:3]
 
 
+def _letter_matrix(v, strands):
+    # reference: the reduced Burau matrix of letter v, the identity but in
+    # column i = |v| - 1, which holds (t, -t, 1) for v > 0 and
+    # (1, -1/t, 1/t) for v < 0 in rows i - 1, i, i + 1
+    size = strands - 1
+    m = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
+    i = abs(v) - 1
+    tinv = LaurentPolynomial.monomial(-1)
+    column = (T, -T, ONE) if v > 0 else (ONE, -tinv, tinv)
+    for k, entry in zip((i - 1, i, i + 1), column):
+        if 0 <= k < size:
+            m[k][i] = entry
+    return m
+
+
 def _dense_product(word):
     # reference: the full left-to-right product of the letters' matrices
     size = word.strands - 1
     product = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
     for v in word.letters:
-        letter = reduced_burau_letter(abs(v), 1 if v > 0 else -1, word.strands)
+        letter = _letter_matrix(v, word.strands)
         product = [
             [sum((row[k] * letter[k][j] for k in range(size)
                   if row[k] and letter[k][j]), ZERO)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from knotsum.braid import BraidWord, murasugi_concat, parse_braid, split_braid
-from knotsum.cli import main
+from knotsum.cli import COMMANDS, main
 from knotsum.distances import dm_interval
 from knotsum.plumbing import PlumbingWord, normalize
 from knotsum.profiles import profile_of_braid
@@ -143,6 +143,14 @@ def test_verify_triple_cli(capsys):
     assert payload["ok"] is False
     assert "components" in payload["failure"]["detail"]
 
+    # an empty word does not get past an out-of-range split index
+    code, payload, _ = run_json(
+        capsys, "verify-triple", "", "--at", "-3",
+        "--expect", "unknot,unknot,unknot",
+    )
+    assert code == 1
+    assert payload["failure"]["stage"] == "split"
+
 
 def test_search_triples_cli(capsys):
     code, payload, _ = run_json(
@@ -222,6 +230,17 @@ def test_data_file_override(tmp_path, capsys):
     assert run(capsys, "dm-bounds", "3_1", "3_1", "5_1", "--data", str(bad))[0] == 2
 
 
-def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
-    assert run(capsys, "plumbing", "--help")[0] == 0
+def _help_paths(commands=COMMANDS, prefix=()):
+    # every parser the command table builds, groups included
+    for name, (handler, _, _) in commands.items():
+        yield (*prefix, name)
+        if isinstance(handler, dict):
+            yield from _help_paths(handler, (*prefix, name))
+
+
+@pytest.mark.parametrize("path", [(), *_help_paths()],
+                         ids=lambda path: "-".join(("knotsum", *path)))
+def test_help_exits_zero(capsys, path):
+    code, out, _ = run(capsys, *path, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: {' '.join(('knotsum', *path))} [-h]")

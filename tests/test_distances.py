@@ -16,7 +16,7 @@ from knotsum.distances import (
     plan_triple_sum,
 )
 from knotsum.profiles import profile_of_braid
-from knotsum.table import table_names
+from knotsum.table import load_table
 
 
 def test_default_data_loads():
@@ -137,7 +137,7 @@ def test_interval_is_symmetric_in_the_summands():
 
 
 def test_bounds_never_cross_on_table_triples():
-    names = [n for n in table_names() if n != "9_1"]
+    names = [n for n in load_table() if n != "9_1"]
     sample = list(itertools.product(names[:6], names[:6], names[:8]))[::7]
     for k1, k2, k3 in sample:
         iv = dm_interval(k1, k2, k3)
@@ -150,7 +150,7 @@ def test_bounds_never_cross_on_table_triples():
 
 def test_every_table_triple_has_an_interval():
     # DMInterval's constructor rejects odd, crossed or sub-2 bounds
-    names = table_names()
+    names = tuple(load_table())
     for k1, k2, k3 in itertools.product(names, repeat=3):
         dm_interval(k1, k2, k3)
 

@@ -25,10 +25,18 @@ def test_coeff_and_support():
     p = LaurentPolynomial.from_dict({-1: 1, 0: -3, 1: 1})
     assert p.coeff(0) == -3
     assert p.coeff(7) == 0
-    assert p.min_exp == -1
-    assert p.max_exp == 1
-    with pytest.raises(ValueError):
-        _ = ZERO.min_exp
+    assert (p.lo, p.coeffs) == (-1, (1, -3, 1))
+
+
+@pytest.mark.parametrize("lo, coeffs, trimmed", [
+    (0, (0, 1), T),
+    (0, (1, 0), ONE),
+    (3, (), ZERO),
+])
+def test_constructor_rejects_non_canonical_fields(lo, coeffs, trimmed):
+    with pytest.raises(ValueError, match="from_coeffs"):
+        LaurentPolynomial(lo, coeffs)
+    assert LaurentPolynomial.from_coeffs(lo, coeffs) == trimmed
 
 
 def test_arithmetic_examples():
@@ -183,7 +191,7 @@ def test_normalized_is_idempotent_and_balanced(p):
     assert n.normalized() == n
     if n != ZERO:
         assert n.terms[-1][1] > 0
-        assert n.min_exp + n.max_exp in (0, 1)
+        assert 2 * n.lo + len(n.coeffs) - 1 in (0, 1)  # lowest + highest exponent
 
 
 # Reference arithmetic on dicts {exponent: coefficient} with no zero values.

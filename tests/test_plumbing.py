@@ -15,7 +15,6 @@ from knotsum.plumbing import (
     RewriteStep,
     RewriteTrace,
     SearchBudget,
-    TwoBridgeFraction,
     _column,
     _minimal_word,
     apply_rule2,
@@ -26,9 +25,8 @@ from knotsum.plumbing import (
     normalize,
     rewrite_search,
     star4,
-    two_bridge_fraction,
 )
-from knotsum.table import lookup, match_profile, table_names
+from knotsum.table import load_table, lookup, match_profile
 
 from corpus import random_plumbing_word
 
@@ -250,6 +248,7 @@ def test_rewrite_search_explores_only_even_twists(monkeypatch):
 
 
 def test_two_bridge_fractions_match_determinants():
+    # |p| of the continued-fraction column p/q is the boundary determinant
     for twists, det in [
         ((2, 2), 3),
         ((2, 4), 7),
@@ -258,30 +257,17 @@ def test_two_bridge_fractions_match_determinants():
         ((2, 6), 11),
         ((4, 4), 15),
     ]:
-        frac = two_bridge_fraction(PlumbingWord(twists))
+        p, _ = _column(twists)
         boundary = boundary_profile(PlumbingWord(twists))
-        assert frac.p == det == boundary.determinant
-        assert frac.p % 2 == 1 and boundary.components == 1
+        assert abs(p) == det == boundary.determinant
+        assert p % 2 == 1 and boundary.components == 1
 
 
 def test_two_bridge_links_and_unlinks():
-    hopf = two_bridge_fraction(PlumbingWord((2,)))
-    assert hopf.p == 2 and boundary_profile(PlumbingWord((2,))).components == 2
-    unlink = two_bridge_fraction(PlumbingWord((0,)))
-    assert unlink.p == 0 and boundary_profile(PlumbingWord((0,))).components == 2
-    disk = two_bridge_fraction(PlumbingWord())
-    assert (disk.p, disk.q) == (1, 0)
+    assert abs(_column((2,))[0]) == 2 and boundary_profile(PlumbingWord((2,))).components == 2
+    assert _column((0,))[0] == 0 and boundary_profile(PlumbingWord((0,))).components == 2
+    assert _column(()) == (1, 0)
     assert boundary_profile(PlumbingWord()).components == 1
-
-
-def test_schubert_equivalence():
-    assert TwoBridgeFraction(11, 2).equivalent_to(TwoBridgeFraction(11, 9))
-    assert TwoBridgeFraction(11, 2).equivalent_to(TwoBridgeFraction(11, 6))
-    assert not TwoBridgeFraction(11, 2).equivalent_to(TwoBridgeFraction(11, 3))
-    assert not TwoBridgeFraction(11, 2).equivalent_to(TwoBridgeFraction(7, 2))
-    # the 7_2 plumbing lands in the class of b(11, 2)
-    frac = two_bridge_fraction(PlumbingWord((2, 6)))
-    assert frac.equivalent_to(TwoBridgeFraction(11, 2))
 
 
 def test_random_rule_applications_preserve_the_boundary():
@@ -390,7 +376,7 @@ def _reference_search(start, target, budget):
 
 def test_rewrite_search_agrees_with_profiling_every_candidate():
     rng = random.Random(8)
-    names = table_names()
+    names = tuple(load_table())
     budget = SearchBudget(max_length=7, max_twist=6, max_states=3000)
     found = 0
     for _ in range(300):

@@ -1,7 +1,7 @@
 import pytest
 
 from knotsum import profiles, seifert
-from knotsum.braid import BraidWord, mirror_braid, murasugi_concat
+from knotsum.braid import BraidWord, murasugi_concat
 from knotsum.laurent import LaurentPolynomial
 from knotsum.plumbing import PlumbingWord, boundary_profile
 from knotsum.profiles import (
@@ -59,7 +59,7 @@ def test_trivial_braid_profile_is_the_unknot_key():
 def test_fingerprint_is_chirality_blind_link_key_is_not():
     w = BraidWord(2, (1, 1, 1))
     p = profile_of_braid(w)
-    q = profile_of_braid(mirror_braid(w))
+    q = profile_of_braid(BraidWord(w.strands, tuple(-v for v in w.letters)))  # the mirror
     assert p.fingerprint() == q.fingerprint()
     assert p.link_key() != q.link_key()
 

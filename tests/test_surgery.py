@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from knotsum import surgery
-from knotsum.braid import BraidWord
+from knotsum.braid import BraidWord, split_braid
 from knotsum.profiles import is_unknot_consistent, profile_of_braid
 from knotsum.surgery import (
     CERT_CONSISTENT,
@@ -134,12 +134,18 @@ def test_verify_triple_failures():
 
 
 def test_verify_triple_degenerate_word():
-    result = verify_triple(BraidWord(1, ()), 0, ("unknot", "unknot", "unknot"))
+    result = verify_triple(BraidWord(3, ()), 1, ("unknot", "unknot", "unknot"))
     assert isinstance(result, TripleWitness)
     assert result.degenerate
     assert result.gon_size == 0
-    rejected = verify_triple(BraidWord(1, ()), 0, ("unknot", "unknot", "3_1"))
+    # the witness's words are the split of the composite, as for any witness
+    assert (result.outer_word, result.inner_word) == split_braid(BraidWord(3, ()), 1)
+    rejected = verify_triple(BraidWord(3, ()), 1, ("unknot", "unknot", "3_1"))
     assert isinstance(rejected, TripleFailure) and rejected.stage == "degenerate"
+    # the split index is checked before the empty word is accepted
+    for word, k in ((BraidWord(3, ()), -3), (BraidWord(1, ()), 0)):
+        bad_split = verify_triple(word, k, ("unknot", "unknot", "unknot"))
+        assert isinstance(bad_split, TripleFailure) and bad_split.stage == "split"
 
 
 def test_search_triples_trivial_target():

@@ -3,28 +3,45 @@ import dataclasses
 import pytest
 
 from corpus import random_knot_words
-from knotsum.braid import BraidWord, mirror_braid
+from knotsum.braid import BraidWord
 from knotsum.profiles import profile_of_braid
 from knotsum.surgery import apply_crossing_changes
-from knotsum.table import (
-    load_table,
-    lookup,
-    match_profile,
-    table_names,
-    validation_report,
-)
+from knotsum.table import TableError, _validate, load_table, lookup, match_profile
 
 
 def test_table_loads_and_validates():
     table = load_table()
     assert len(table) == 16
-    report = validation_report()
-    assert len(report) == len(table)
-    assert all("ok" in line for line in report)
+
+
+def _link_entry(t):
+    # a two-component closure, with its own profile cached
+    word = BraidWord(2, (1, 1))
+    return dataclasses.replace(t["3_1"], word=word, profile=profile_of_braid(word))
+
+
+@pytest.mark.parametrize("entries, refusal", [
+    (lambda t: [t["3_1"], t["3_1"]], "duplicate name"),
+    (lambda t: [dataclasses.replace(t["4_1"], profile=dataclasses.replace(
+        t["4_1"].profile, canonical_genus_bound=2))], "cached profile disagrees"),
+    (lambda t: [_link_entry(t)], "closure is not a knot"),
+    (lambda t: [t["3_1"], dataclasses.replace(t["3_1"], name="3_1b")],
+     "fingerprint collides with 3_1"),
+    (lambda t: [dataclasses.replace(t["3_1"], unknotting_number=0)], "below signature bound"),
+    (lambda t: [dataclasses.replace(t["4_1"], unknotting_number=0)],
+     "u=0 but profile is nontrivial"),
+    (lambda t: [dataclasses.replace(t["7_4"], unknotting_number=1)],
+     "u=1 but no single letter flip"),
+], ids=["duplicate", "profile", "link", "fingerprint", "signature", "u0", "u1"])
+def test_validation_refuses_each_bad_entry(entries, refusal):
+    table = load_table()
+    assert _validate([table["unknot"], table["5_2"]])  # good entries pass
+    with pytest.raises(TableError, match=refusal):
+        _validate(entries(table))
 
 
 def test_expected_names_present():
-    names = set(table_names())
+    names = set(load_table())
     for name in ("unknot", "3_1", "4_1", "5_1", "5_2", "6_1", "7_7", "9_1"):
         assert name in names
 
@@ -86,7 +103,8 @@ def test_u2_words_have_no_single_flip_witness():
 
 
 def test_match_profile_is_chirality_blind():
-    p = profile_of_braid(mirror_braid(lookup("3_1").word))
+    word = lookup("3_1").word
+    p = profile_of_braid(BraidWord(word.strands, tuple(-v for v in word.letters)))  # mirror
     assert match_profile(p) == ["3_1"]
     assert match_profile(lookup("7_1").profile) == ["7_1"]
     assert match_profile(profile_of_braid(BraidWord(2, (1,)))) == ["unknot"]
