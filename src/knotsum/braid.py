@@ -176,6 +176,11 @@ def split_braid(word: BraidWord, k: int) -> tuple[BraidWord, BraidWord]:
     on strands-k strands. The second keeps the letters of index <= k on
     k+1 strands. Letter order is preserved in both.
     """
+    if word.strands < 3:
+        raise SplitIndexError(
+            f"a word on {word.strands} strands has no split position; "
+            "splitting needs at least 3 strands"
+        )
     if not 1 <= k <= word.strands - 2:
         raise SplitIndexError(
             f"split position {k} not in 1..{word.strands - 2} for {word.strands} strands"
@@ -234,12 +239,42 @@ def murasugi_concat(
     return CompositeBraid(word=BraidWord(strands, tuple(letters)), split_index=k)
 
 
-def free_reduce(word: BraidWord) -> BraidWord:
-    """Delete adjacent inverse pairs until none remain."""
+def _free_reduced(letters: Sequence[int]) -> list[int]:
     stack: list[int] = []
-    for v in word.letters:
+    for v in letters:
         if stack and stack[-1] == -v:
             stack.pop()
         else:
             stack.append(v)
-    return BraidWord(word.strands, tuple(stack))
+    return stack
+
+
+def free_reduce(word: BraidWord) -> BraidWord:
+    """Delete adjacent inverse pairs until none remain."""
+    return BraidWord(word.strands, tuple(_free_reduced(word.letters)))
+
+
+def conjugacy_key(strands: int, letters: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(strands, least rotation of the cyclically reduced word or its flip).
+
+    Free reduction, stripping an x ... x^-1 pair from the two ends,
+    rotation, and the flip sigma_i -> sigma_(n-i) (conjugation by the half
+    twist) each replace the braid by a conjugate. Words with one key
+    therefore have one closure (Markov's theorem), and every link
+    invariant can be keyed by it. Different keys may still be conjugate.
+    Takes bare letters so a caller can key a word before building it.
+    """
+    reduced = _free_reduced(letters)
+    lo, hi = 0, len(reduced)
+    while hi - lo > 1 and reduced[lo] == -reduced[hi - 1]:
+        lo += 1
+        hi -= 1
+    cyclic = tuple(reduced[lo:hi])
+    flipped = tuple([strands - v if v > 0 else -strands - v for v in cyclic])
+    n = len(cyclic)
+    first = min(cyclic + flipped, default=0)  # the least rotation starts here
+    return strands, min(
+        [w[i:i + n] for w in (cyclic + cyclic, flipped + flipped) for i in range(n)
+         if w[i] == first],
+        default=(),
+    )

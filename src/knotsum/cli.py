@@ -306,12 +306,10 @@ def _cmd_verify_triple(args: argparse.Namespace) -> Report:
             EXIT_VERIFICATION,
         )
     lines = [
-        f"witness: word {format_braid(result.composite.word) or '(empty)'}, "
+        f"witness: word {format_braid(result.composite.word)}, "
         f"k {result.composite.split_index}, gon {result.gon_size}",
         f"names: {', '.join(result.names)}",
     ]
-    if result.degenerate:
-        lines.append("degenerate: empty word, no sum structure")
     return Report({"ok": True, "witness": result.serialize()}, lines)
 
 

@@ -57,26 +57,29 @@ class InvariantProfile:
         }
 
 
-def profile_of_braid(word: BraidWord) -> InvariantProfile:
-    """Profile of the braid closure.
+def canonical_genus_bound(word: BraidWord, components: int) -> int:
+    """Total genus of the canonical surface of the free-reduced word.
 
-    The genus bound is the total genus of the canonical surface of the
-    free-reduced word, from 2g = 2s - euler_char - boundary_components
-    with s the number of surface pieces. For a knot this is the usual
-    (letters - strands + 1) / 2.
+    From 2g = 2s - euler_char - boundary_components with s the number of
+    surface pieces. For a knot this is the usual (letters - strands + 1) / 2.
+    It depends on the word, not only on its conjugacy class.
     """
-    matrix = seifert_matrix_of_braid(word)
-    alexander = alexander_of_surface(word, matrix)
-    # free reduction keeps the permutation, so the component count carries over
-    components = closure_data(word).components
     reduced = free_reduce(word)
     pieces = reduced.strands - len({abs(v) for v in reduced.letters})
     genus2 = 2 * pieces - (reduced.strands - len(reduced.letters)) - components
+    return max(0, genus2) // 2
+
+
+def profile_of_braid(word: BraidWord) -> InvariantProfile:
+    """Profile of the braid closure, with the word's canonical genus bound."""
+    matrix = seifert_matrix_of_braid(word)
+    alexander = alexander_of_surface(word, matrix)
+    components = closure_data(word).components
     return InvariantProfile(
         alexander=alexander,
         signature=matrix.signature(),
         determinant=abs(alexander.at_minus_one()),
-        canonical_genus_bound=max(0, genus2) // 2,
+        canonical_genus_bound=canonical_genus_bound(word, components),
         components=components,
     )
 

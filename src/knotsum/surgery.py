@@ -13,22 +13,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .braid import (
     BraidWord,
     CompositeBraid,
     SplitIndexError,
     closure_data,
-    murasugi_concat,
+    conjugacy_key,
     split_braid,
 )
+from .laurent import LaurentPolynomial
 from .profiles import (
     InvariantProfile,
-    UNKNOT_PROFILE_KEY,
+    canonical_genus_bound,
     is_unknot_consistent,
     profile_of_braid,
 )
-from .seifert import seifert_matrix_of_braid
+from .seifert import SeifertMatrix, alexander_of_surface, seifert_matrix_of_braid
 from .table import load_table, lookup, match_profile
 
 SIDE_POSITIVE = "positive"
@@ -159,8 +163,10 @@ class TripleWitness:
     """A braid word realizing K3 as a Murasugi sum of K1 and K2 summands.
 
     outer_word and inner_word are exactly split_braid of the composite, so
-    the witness replays bit-for-bit. A degenerate witness (empty word) is
-    flagged; its splits are unlinks and the knot check is skipped.
+    the witness replays bit-for-bit. `degenerate` is always False: an
+    empty word that can be split lives on at least 3 strands, and its
+    closure and both splits are unlinks. The field stays for serialized
+    output.
     """
 
     composite: CompositeBraid
@@ -195,25 +201,74 @@ class TripleFailure:
         return {"stage": self.stage, "detail": self.detail}
 
 
-ProfileMemo = dict[BraidWord, InvariantProfile]
-"""Profiles already computed, by word; one search owns one memo."""
+class _ClassInvariants:
+    """Exact invariants of one conjugacy class, each computed on first use.
+
+    `word` is the class representative that conjugacy_key spells out.
+    """
+
+    def __init__(self, word: BraidWord) -> None:
+        self.word = word
+        # conjugation only conjugates the permutation: same cycle count
+        self.components = closure_data(word).components
+        self._profiles: dict[BraidWord, InvariantProfile] = {}
+
+    @cached_property
+    def matrix(self) -> SeifertMatrix:
+        return seifert_matrix_of_braid(self.word)
+
+    @cached_property
+    def determinant(self) -> int:
+        """|det(V + V^T)|, the link determinant when the closure is a knot."""
+        return self.matrix.determinant_invariant()
+
+    @cached_property
+    def signature(self) -> int:
+        return self.matrix.signature()
+
+    @cached_property
+    def alexander(self) -> LaurentPolynomial:
+        return alexander_of_surface(self.word, self.matrix)
+
+    def profile(self, word: BraidWord) -> InvariantProfile:
+        """profile_of_braid(word) for a word of this class, built once per word.
+
+        Only the genus bound is read off the word itself.
+        """
+        profile = self._profiles.get(word)
+        if profile is None:
+            profile = self._profiles[word] = InvariantProfile(
+                alexander=self.alexander,
+                signature=self.signature,
+                determinant=abs(self.alexander.at_minus_one()),
+                canonical_genus_bound=canonical_genus_bound(word, self.components),
+                components=self.components,
+            )
+        return profile
 
 
-def _profile(word: BraidWord, memo: ProfileMemo) -> InvariantProfile:
-    profile = memo.get(word)
-    if profile is None:
-        profile = memo[word] = profile_of_braid(word)
-    return profile
+class ClassMemo:
+    """Invariants by conjugacy class; one search_triples call owns one."""
+
+    def __init__(self) -> None:
+        self._classes: dict[tuple[int, tuple[int, ...]], _ClassInvariants] = {}
+
+    def of(self, strands: int, letters: Sequence[int]) -> _ClassInvariants:
+        key = conjugacy_key(strands, letters)
+        invariants = self._classes.get(key)
+        if invariants is None:
+            invariants = self._classes[key] = _ClassInvariants(BraidWord(*key))
+        return invariants
 
 
 def _identify_as(
-    word: BraidWord, expected: str, memo: ProfileMemo
+    word: BraidWord, expected: str, memo: ClassMemo
 ) -> InvariantProfile | str:
     """Profile when the closure matches the expected name, else a reason."""
-    data = closure_data(word)
-    if data.components != 1:
-        return f"closure has {data.components} components"
-    profile = _profile(word, memo)
+    invariants = memo.of(word.strands, word.letters)
+    if invariants.components != 1:
+        return f"closure has {invariants.components} components"
+    profile = invariants.profile(word)
     names = match_profile(profile)
     if expected not in names:
         found = ", ".join(names) if names else "no table knot"
@@ -223,15 +278,15 @@ def _identify_as(
 
 def verify_triple(
     word: BraidWord, k: int, expected: tuple[str, str, str],
-    *, _memo: ProfileMemo | None = None,
+    *, _memo: ClassMemo | None = None,
 ) -> TripleWitness | TripleFailure:
     """Split at k and check all three closures against the expected names.
 
     Failures are reported as data, never raised. The first expected name
     is the outer split, the second the inner, the third the composite.
-    `_memo` is search_triples' profile memo; a direct call gets a fresh one.
+    `_memo` is search_triples' class memo; a direct call gets a fresh one.
     """
-    memo = {} if _memo is None else _memo
+    memo = ClassMemo() if _memo is None else _memo
     table = load_table()
     for name in expected:
         if name not in table:
@@ -241,21 +296,6 @@ def verify_triple(
         outer, inner = split_braid(word, k)
     except SplitIndexError as exc:
         return TripleFailure("split", str(exc))
-
-    if not word.letters:
-        if set(expected) != {"unknot"}:
-            return TripleFailure(
-                "degenerate", "empty word can only witness (unknot, unknot, unknot)"
-            )
-        trivial = _profile(BraidWord(1, ()), memo)
-        return TripleWitness(
-            composite=CompositeBraid(word=word, split_index=k),
-            outer_word=outer,
-            inner_word=inner,
-            names=expected,
-            profiles=(trivial, trivial, trivial),
-            degenerate=True,
-        )
 
     outcome_outer = _identify_as(outer, expected[0], memo)
     if isinstance(outcome_outer, str):
@@ -299,25 +339,80 @@ class TripleBudget:
         )
 
 
-def _candidate_words(strands: int, max_letters: int) -> list[BraidWord]:
+def _knot_letters(strands: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Every word of exactly `length` letters whose closure is a knot.
+
+    A depth-first walk carries the strand permutation, so a word whose
+    closure is a link is never built. A knot closes up as one cycle
+    through all strands, which forces length = strands - 1 (mod 2) and
+    uses every generator; a branch stops once too few letters remain for
+    the generators it has not used yet.
+    """
+    if strands < 2 or length < strands - 1 or (length - strands + 1) % 2:
+        return
     alphabet = [s * i for i in range(1, strands) for s in (-1, 1)]
-    words = []
-    for length in range(max_letters + 1):
-        for combo in itertools.product(alphabet, repeat=length):
-            words.append(BraidWord(strands, combo))
-    return words
+    perm = list(range(strands))
+    uses = [0] * strands
+    letters = [0] * length
+
+    def walk(depth: int, missing: int) -> Iterator[tuple[int, ...]]:
+        if depth == length:
+            i, cycle = perm[0], 1
+            while i:
+                i, cycle = perm[i], cycle + 1
+            if cycle == strands:
+                yield tuple(letters)
+            return
+        if missing > length - depth:
+            return
+        for v in alphabet:
+            i = abs(v)
+            letters[depth] = v
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+            uses[i] += 1
+            yield from walk(depth + 1, missing - (uses[i] == 1))
+            uses[i] -= 1
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+
+    yield from walk(0, strands - 1)
 
 
-def _pool_matching(
-    name: str, strands: int, max_letters: int, memo: ProfileMemo
-) -> list[BraidWord]:
+def _pool(name: str, strands: int, length: int, memo: ClassMemo) -> list[BraidWord]:
+    """Words of `length` letters on `strands` strands whose closure is `name`.
+
+    Cheapest check first, each read through the class memo: determinant,
+    then signature, then the Alexander polynomial inside match_profile.
+    """
+    target = lookup(name).profile
     pool = []
-    for w in _candidate_words(strands, max_letters):
-        if closure_data(w).components != 1:
+    for letters in _knot_letters(strands, length):
+        invariants = memo.of(strands, letters)
+        if invariants.determinant != target.determinant:
             continue
-        if name in match_profile(_profile(w, memo)):
-            pool.append(w)
+        if abs(invariants.signature) != abs(target.signature):
+            continue
+        word = BraidWord(strands, letters)
+        if name in match_profile(invariants.profile(word)):
+            pool.append(word)
     return pool
+
+
+def _shuffles(total: int, outer_letters: int, limit: int) -> list[Callable]:
+    """The first `limit` interleavings, in combinations order, of an outer
+    word of outer_letters letters into a composite of `total`. Each maps
+    inner letters + shifted outer letters to the composite's letters
+    (always two or more: no pool word is empty).
+    """
+    inner_letters = total - outer_letters
+    shuffles = []
+    for positions in itertools.islice(
+        itertools.combinations(range(total), outer_letters), limit
+    ):
+        inner, outer = iter(range(inner_letters)), iter(range(inner_letters, total))
+        shuffles.append(
+            itemgetter(*(next(outer) if p in positions else next(inner) for p in range(total)))
+        )
+    return shuffles
 
 
 def search_triples(
@@ -329,10 +424,17 @@ def search_triples(
     target names, canonically ordered by (length, word, split position).
 
     The inner word realizes the second target name, the outer the first.
-    An exhausted budget yields an empty list, not an error. Each distinct
-    word is profiled at most once per call, and a composite whose
-    |det(V + V^T)| differs from the third target's is dropped unprofiled:
-    match_profile would reject it on the determinant anyway.
+    An exhausted budget yields an empty list, not an error.
+
+    Exact invariants are memoized by conjugacy class (conjugacy_key): a
+    closure, and so every invariant, is fixed on a class. Only the genus
+    bound is computed per word. Pools hold knot words only, enumerated
+    with their strand permutation, so a link closure is never built. A
+    composite whose class is not a knot, or whose |det(V + V^T)| differs
+    from the third target's, is dropped before its word is built; every
+    other one goes through verify_triple. Composites run in tiers of equal
+    total length, shortest first, so `limit` stops after the first tier
+    that reaches it with the same answer as the full list cut to `limit`.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -342,49 +444,57 @@ def search_triples(
         lookup(name)
     determinant3 = lookup(name3).profile.determinant
 
-    memo: ProfileMemo = {}
-    witnesses: list[TripleWitness] = []
-    pools: dict[tuple[str, int], list[BraidWord]] = {}
-    for s1 in range(2, budget.max_strands + 1):
-        for s2 in range(2, budget.max_strands + 1):
-            if s1 + s2 - 1 > budget.max_strands:
-                continue
-            for key in ((name2, s1), (name1, s2)):
-                if key not in pools:
-                    pools[key] = _pool_matching(*key, budget.max_total_letters, memo)
-            inner_pool, outer_pool = pools[name2, s1], pools[name1, s2]
-            for w1 in inner_pool:
-                for w2 in outer_pool:
-                    total = len(w1.letters) + len(w2.letters)
-                    if total > budget.max_total_letters:
-                        continue
-                    patterns = itertools.islice(
-                        itertools.combinations(range(total), len(w2.letters)),
-                        budget.max_shuffles,
-                    )
-                    for positions in patterns:
-                        shuffle = [0] * total
-                        for p in positions:
-                            shuffle[p] = 1
-                        composite = murasugi_concat(w1, w2, shuffle)
-                        word = composite.word
-                        if closure_data(word).components != 1:
-                            continue
-                        if seifert_matrix_of_braid(word).determinant_invariant() != determinant3:
-                            continue
-                        outcome = verify_triple(
-                            word, composite.split_index, target, _memo=memo
-                        )
-                        if isinstance(outcome, TripleWitness):
-                            witnesses.append(outcome)
+    memo = ClassMemo()
+    pools: dict[tuple[str, int, int], list[BraidWord]] = {}
 
-    witnesses.sort(
-        key=lambda w: (
-            len(w.composite.word.letters),
-            w.composite.word.letters,
-            w.composite.split_index,
+    def pool(name: str, strands: int, length: int) -> list[BraidWord]:
+        key = (name, strands, length)
+        if key not in pools:
+            pools[key] = _pool(name, strands, length, memo)
+        return pools[key]
+
+    strand_pairs = [  # the composite has s1 + s2 - 1 strands
+        (s1, s2)
+        for s1 in range(2, budget.max_strands + 1)
+        for s2 in range(2, budget.max_strands + 2 - s1)
+    ]
+    witnesses: list[TripleWitness] = []
+    for total in range(budget.max_total_letters + 1):
+        tier = []
+        for s1, s2 in strand_pairs:
+            k, strands = s1 - 1, s1 + s2 - 1
+            for outer_letters in range(total + 1):
+                inner_pool = pool(name2, s1, total - outer_letters)
+                outer_pool = pool(name1, s2, outer_letters) if inner_pool else []
+                if not outer_pool:
+                    continue
+                shuffles = _shuffles(total, outer_letters, budget.max_shuffles)
+                shifted = [
+                    tuple(v + k if v > 0 else v - k for v in w2.letters) for w2 in outer_pool
+                ]
+                for w1 in inner_pool:
+                    for w2_letters in shifted:
+                        both = w1.letters + w2_letters
+                        for shuffle in shuffles:
+                            letters = shuffle(both)
+                            invariants = memo.of(strands, letters)
+                            if invariants.components != 1:
+                                continue
+                            if invariants.determinant != determinant3:
+                                continue
+                            outcome = verify_triple(
+                                BraidWord(strands, letters), k, target, _memo=memo
+                            )
+                            if isinstance(outcome, TripleWitness):
+                                tier.append(outcome)
+        tier.sort(
+            key=lambda w: (
+                len(w.composite.word.letters),
+                w.composite.word.letters,
+                w.composite.split_index,
+            )
         )
-    )
-    if limit is not None:
-        witnesses = witnesses[:limit]
-    return witnesses
+        witnesses.extend(tier)
+        if limit is not None and len(witnesses) >= limit:
+            break
+    return witnesses[:limit]

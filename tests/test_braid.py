@@ -141,6 +141,18 @@ def test_split_examples():
         split_braid(BraidWord(3, (1,)), 0)
 
 
+@pytest.mark.parametrize("strands", [1, 2])
+def test_split_needs_three_strands(strands):
+    message = (
+        f"a word on {strands} strands has no split position; "
+        "splitting needs at least 3 strands"
+    )
+    for k in (-3, 0, 1):
+        with pytest.raises(SplitIndexError) as excinfo:
+            split_braid(BraidWord(strands, ()), k)
+        assert str(excinfo.value) == message
+
+
 def test_split_keeps_letter_order_and_signs():
     word = BraidWord(4, (1, -3, 1, 3, -2))
     outer, inner = split_braid(word, 2)

@@ -6,7 +6,6 @@ from knotsum.braid import BraidWord, murasugi_concat, parse_braid, split_braid
 from knotsum.cli import COMMANDS, main
 from knotsum.distances import dm_interval
 from knotsum.plumbing import PlumbingWord, normalize
-from knotsum.profiles import profile_of_braid
 from knotsum.surgery import unknotting_crossing_set
 
 
@@ -150,6 +149,16 @@ def test_verify_triple_cli(capsys):
     )
     assert code == 1
     assert payload["failure"]["stage"] == "split"
+
+    # an empty word on 3 strands splits into unlinks, which are not unknots
+    code, payload, _ = run_json(
+        capsys, "verify-triple", "", "--strands", "3", "--at", "1",
+        "--expect", "unknot,unknot,unknot",
+    )
+    assert code == 1
+    assert payload["failure"] == {
+        "stage": "outer split", "detail": "closure has 2 components",
+    }
 
 
 def test_search_triples_cli(capsys):

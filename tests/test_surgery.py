@@ -1,11 +1,14 @@
+import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 
 from knotsum import surgery
-from knotsum.braid import BraidWord, split_braid
-from knotsum.profiles import is_unknot_consistent, profile_of_braid
+from knotsum.braid import BraidWord, closure_data, conjugacy_key, murasugi_concat, split_braid
+from knotsum.profiles import canonical_genus_bound, is_unknot_consistent, profile_of_braid
+from knotsum.table import match_profile
 from knotsum.surgery import (
     CERT_CONSISTENT,
     CERT_DESCENDING,
@@ -134,15 +137,15 @@ def test_verify_triple_failures():
 
 
 def test_verify_triple_degenerate_word():
-    result = verify_triple(BraidWord(3, ()), 1, ("unknot", "unknot", "unknot"))
-    assert isinstance(result, TripleWitness)
-    assert result.degenerate
-    assert result.gon_size == 0
-    # the witness's words are the split of the composite, as for any witness
-    assert (result.outer_word, result.inner_word) == split_braid(BraidWord(3, ()), 1)
-    rejected = verify_triple(BraidWord(3, ()), 1, ("unknot", "unknot", "3_1"))
-    assert isinstance(rejected, TripleFailure) and rejected.stage == "degenerate"
-    # the split index is checked before the empty word is accepted
+    # an empty word that splits is on at least 3 strands, so its closure
+    # and both splits are unlinks: it witnesses no triple of knots
+    for strands in (3, 4, 5):
+        for k in range(1, strands - 1):
+            result = verify_triple(BraidWord(strands, ()), k, ("unknot",) * 3)
+            assert result == TripleFailure(
+                "outer split", f"closure has {strands - k} components"
+            )
+    # the split index is checked first
     for word, k in ((BraidWord(3, ()), -3), (BraidWord(1, ()), 0)):
         bad_split = verify_triple(word, k, ("unknot", "unknot", "unknot"))
         assert isinstance(bad_split, TripleFailure) and bad_split.stage == "split"
@@ -195,27 +198,34 @@ def test_search_triples_limit_and_misses():
 
 def test_search_triples_builds_each_pool_once(monkeypatch):
     calls = []
-    build = surgery._pool_matching
+    build = surgery._pool
 
-    def counting(name, strands, max_letters, memo):
-        calls.append((name, strands))
-        return build(name, strands, max_letters, memo)
+    def counting(name, strands, length, memo):
+        calls.append((name, strands, length))
+        return build(name, strands, length, memo)
 
-    monkeypatch.setattr(surgery, "_pool_matching", counting)
+    monkeypatch.setattr(surgery, "_pool", counting)
     budget = TripleBudget(max_total_letters=2, max_strands=4, max_shuffles=8)
     assert search_triples(("unknot", "unknot", "unknot"), budget)
-    assert sorted(calls) == [("unknot", 2), ("unknot", 3)]
+    assert len(calls) == len(set(calls))
+    assert sorted({(name, strands) for name, strands, _ in calls}) == [
+        ("unknot", 2),
+        ("unknot", 3),
+    ]
 
 
 def test_search_triples_profiles_each_word_once(monkeypatch):
+    # once per conjugacy class, in fact: the Seifert matrix is the whole
+    # exact cost, and each class builds it for its representative alone
     seen = Counter()
-    profile = surgery.profile_of_braid
+    matrix = surgery.seifert_matrix_of_braid
 
     def counting(word):
+        assert conjugacy_key(word.strands, word.letters) == (word.strands, word.letters)
         seen[word] += 1
-        return profile(word)
+        return matrix(word)
 
-    monkeypatch.setattr(surgery, "profile_of_braid", counting)
+    monkeypatch.setattr(surgery, "seifert_matrix_of_braid", counting)
     # the (3_1, 2) and (unknot, 2) pools draw on the same candidate words
     assert search_triples(("unknot", "3_1", "3_1"), TripleBudget(max_total_letters=4))
     assert seen
@@ -265,3 +275,137 @@ def test_search_triples_finds_trefoil_composites():
         sample.composite.word, sample.composite.split_index, sample.names
     )
     assert isinstance(check, TripleWitness)
+
+
+def _variants(word: BraidWord, rng: random.Random) -> list[BraidWord]:
+    """Conjugates of the word: rotations, inserted cancelling pairs,
+    conjugation by each letter, and the half-twist flip."""
+    n, letters = word.strands, word.letters
+    alphabet = [s * i for i in range(1, n) for s in (-1, 1)]
+    out = [BraidWord(n, letters[i:] + letters[:i]) for i in range(1, len(letters))]
+    for _ in range(3):
+        i, v = rng.randint(0, len(letters)), rng.choice(alphabet)
+        out.append(BraidWord(n, letters[:i] + (v, -v) + letters[i:]))
+    out += [BraidWord(n, (v,) + letters + (-v,)) for v in alphabet]
+    out.append(BraidWord(n, tuple(n - v if v > 0 else -n - v for v in letters)))
+    return out
+
+
+def test_class_memo_is_exact_on_conjugates():
+    rng = random.Random(7)
+    genus_moved = 0
+    for word in random_knot_words(142, 30, max_strands=6, max_letters=16):
+        expected = profile_of_braid(word)
+        memo = surgery.ClassMemo()
+        key = conjugacy_key(word.strands, word.letters)
+        for variant in [word] + _variants(word, rng):
+            assert conjugacy_key(variant.strands, variant.letters) == key, variant
+            profile = profile_of_braid(variant)
+            assert profile.link_key() == expected.link_key(), variant
+            # one class entry serves every variant; the genus bound is the word's own
+            assert memo.of(variant.strands, variant.letters).profile(variant) == profile
+            assert profile.canonical_genus_bound == canonical_genus_bound(variant, 1)
+            genus_moved += profile.canonical_genus_bound != expected.canonical_genus_bound
+    assert genus_moved
+
+
+def test_knot_letters_are_exactly_the_knot_words():
+    for strands in range(1, 5):
+        alphabet = [s * i for i in range(1, strands) for s in (-1, 1)]
+        for length in range(6):
+            expected = {
+                letters
+                for letters in itertools.product(alphabet, repeat=length)
+                if closure_data(BraidWord(strands, letters)).components == 1
+            }
+            produced = list(surgery._knot_letters(strands, length))
+            assert len(produced) == len(set(produced))
+            # one strand closes to the unknot but has no letters to search
+            assert set(produced) == (expected if strands > 1 else set())
+
+
+def _reference_search(target, budget):
+    """search_triples with no memo and no pruning: every word is profiled."""
+
+    pools = {}
+
+    def pool(name, strands):
+        if (name, strands) in pools:
+            return pools[name, strands]
+        alphabet = [s * i for i in range(1, strands) for s in (-1, 1)]
+        words = []
+        for length in range(budget.max_total_letters + 1):
+            for letters in itertools.product(alphabet, repeat=length):
+                w = BraidWord(strands, letters)
+                profile = profile_of_braid(w)
+                if profile.is_knot and name in match_profile(profile):
+                    words.append(w)
+        pools[name, strands] = words
+        return words
+
+    found = []
+    for s1 in range(2, budget.max_strands + 1):
+        for s2 in range(2, budget.max_strands + 2 - s1):
+            for w1 in pool(target[1], s1):
+                for w2 in pool(target[0], s2):
+                    total = len(w1.letters) + len(w2.letters)
+                    if total > budget.max_total_letters:
+                        continue
+                    patterns = itertools.islice(
+                        itertools.combinations(range(total), len(w2.letters)),
+                        budget.max_shuffles,
+                    )
+                    for positions in patterns:
+                        shuffle = [int(p in positions) for p in range(total)]
+                        composite = murasugi_concat(w1, w2, shuffle)
+                        outer, inner = split_braid(composite.word, composite.split_index)
+                        profiles = tuple(
+                            profile_of_braid(w) for w in (outer, inner, composite.word)
+                        )
+                        if all(
+                            p.is_knot and name in match_profile(p)
+                            for p, name in zip(profiles, target)
+                        ):
+                            found.append(
+                                TripleWitness(composite, outer, inner, target, profiles)
+                            )
+    found.sort(key=lambda w: (len(w.composite.word.letters), w.composite.word.letters,
+                              w.composite.split_index))
+    return found
+
+
+@pytest.mark.parametrize(
+    "target, budget",
+    [
+        (("unknot", "unknot", "unknot"), TripleBudget(4, 4, 8)),
+        (("unknot", "3_1", "3_1"), TripleBudget(5, 3, 32)),
+        (("unknot", "unknot", "3_1"), TripleBudget(6, 3, 5)),
+        (("3_1", "unknot", "3_1"), TripleBudget(5, 4, 8)),
+        (("unknot", "unknot", "4_1"), TripleBudget(6, 3, 32)),
+    ],
+)
+def test_search_triples_matches_memo_free_reference(target, budget):
+    expected = _reference_search(target, budget)
+    assert expected
+    assert search_triples(target, budget) == expected
+
+
+def test_search_triples_limit_is_a_prefix(monkeypatch):
+    target, budget = ("unknot", "3_1", "3_1"), TripleBudget()
+    full = search_triples(target, budget)
+    shortest = sum(len(w.composite.word.letters) == 4 for w in full)
+    assert 0 < shortest < len(full)
+    for n in (1, shortest, shortest + 1, len(full) - 1, len(full), len(full) + 1, 1000):
+        assert search_triples(target, budget, limit=n) == full[:n]
+
+    # a limit met by the shortest tier builds no pool for longer words
+    lengths = []
+    build = surgery._pool
+
+    def counting(name, strands, length, memo):
+        lengths.append(length)
+        return build(name, strands, length, memo)
+
+    monkeypatch.setattr(surgery, "_pool", counting)
+    assert search_triples(target, budget, limit=shortest) == full[:shortest]
+    assert max(lengths) == 4 < budget.max_total_letters
