@@ -3,8 +3,8 @@
 One determinant kernel, `bareiss_determinant`: fraction-free elimination
 (Bareiss 1968) that never touches a zero. Its only divisions are exact,
 so it runs unchanged over any integral domain whose elements support
-+, -, *, truth (nonzero) and an exact //: Python ints for the Seifert
-route, Laurent polynomials for the Burau route. A row with a zero under
++, -, *, truth (nonzero) and an exact //; the package feeds it Python
+ints only, on both Alexander routes. A row with a zero under
 the pivot sits the step out, and its missed scalings by p_k/p_(k-1)
 telescope into one exact division by a stored pivot ratio, done when the
 row next takes part; each row update stops at the last nonzero column of
@@ -12,22 +12,25 @@ the pivot row or of the row itself, so fill stays inside the rows'
 skyline. On a matrix of bandwidth b that is O(n*b^2) ring operations
 plus O(n^2) zero tests (row ends, pivot columns), against O(n^3) dense.
 
-Around it: Newton interpolation by exact integer divided differences for
-determinants of matrix pencils A + t*B, evaluated on a reverse
-Cuthill-McKee order (Cuthill & McKee 1969) that gives the sparse Seifert
-pencils a small bandwidth; the same kernel on matrices of Laurent
-polynomials; and integer congruence diagonalization for symmetric
-signatures. No floating point is used anywhere in the package.
+Polynomial determinants, of matrix pencils A + t*B and of matrices of
+Laurent polynomials, run the integer kernel once, at t = 2^B (Kronecker
+substitution). B comes from Hadamard's bound on the coefficients of the
+determinant, so the integer result holds them as base-2^B digits and
+decodes exactly, with no interpolation. Pencils are eliminated on a
+reverse Cuthill-McKee order (Cuthill & McKee 1969) that gives the sparse
+Seifert pencils a small bandwidth. Symmetric signatures come from integer
+congruence diagonalization. No floating point is used anywhere in the
+package.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd
+from math import gcd, isqrt, prod
 from operator import or_
 from typing import Sequence, TypeVar
 
-from .laurent import LaurentPolynomial
+from .laurent import ZERO, LaurentPolynomial
 
 R = TypeVar("R")
 
@@ -137,57 +140,83 @@ def _reverse_cuthill_mckee(pattern: list[list[int]]) -> list[int]:
     return order
 
 
+def _kronecker_determinant(
+    n: int, entries: Sequence[tuple[int, int, int, Sequence[int]]]
+) -> LaurentPolynomial:
+    """Determinant of the n x n matrix whose nonzero (i, j) entry is sum(c[k] * t**(lo + k)).
+
+    Each entry comes as (i, j, lo, c); c may have zeros at either end. Row i
+    is shifted by its lowest exponent, which multiplies the determinant by
+    a known power of t and leaves a polynomial D. On |t| = 1 Hadamard's
+    inequality gives |D(t)| <= C = prod_i sqrt(sum_j ||m_ij||_1^2), and each
+    coefficient d_k of D is the average of D(t)*t^-k over that circle, so
+    |d_k| <= C. With 2^(B-1) > C, D(2^B) from one integer Bareiss run
+    holds D's coefficients as balanced base-2^B digits, read back with
+    shifts and masks. D's degree is at most the sum of the row spans; a
+    value with more digits than that raises ArithmeticError.
+    """
+    row_lo: list = [None] * n
+    row_end: list = [None] * n
+    row_norm = [0] * n
+    for i, _, lo, c in entries:
+        if row_lo[i] is None:
+            row_lo[i], row_end[i] = lo, lo + len(c)
+        else:
+            row_lo[i] = min(row_lo[i], lo)
+            row_end[i] = max(row_end[i], lo + len(c))
+        row_norm[i] += sum(map(abs, c)) ** 2
+    if not all(row_norm):
+        return ZERO
+    # isqrt(C^2) + 1 > C, so 2^(bits - 1) > C
+    bits = (isqrt(prod(row_norm)) + 1).bit_length() + 1
+    matrix = [[0] * n for _ in range(n)]
+    for i, j, lo, c in entries:
+        v = 0
+        for x in reversed(c):
+            v = (v << bits) + x
+        matrix[i][j] = v << ((lo - row_lo[i]) * bits)
+    value = bareiss_determinant(matrix)
+    span = sum(row_end) - sum(row_lo) - n
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    coeffs = []
+    while value:
+        if len(coeffs) > span:
+            raise ArithmeticError("determinant is wider than its rows allow")
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    return LaurentPolynomial.from_coeffs(sum(row_lo), coeffs)
+
+
 def pencil_determinant(
     a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
 ) -> LaurentPolynomial:
     """det(A + t*B) for integer matrices A, B, as an exact polynomial in t.
 
-    The determinant has degree at most n, so n + 1 Bareiss evaluations at
-    the consecutive integers -(n // 2) .. n - n // 2 pin it down. The
-    evaluations run on one reverse Cuthill-McKee order of the joint
-    nonzero pattern of A and B (the same permutation of rows and columns
-    leaves det unchanged), and each evaluation matrix is filled from that
-    pattern alone. A point then costs O(nnz) to build and O(n*b^2) to
-    eliminate for bandwidth b, as the kernel scales the rows it skips
-    lazily and keeps fill inside the band. Newton divided differences divide
-    level k by k, exactly for an integer polynomial, so a remainder raises
-    ArithmeticError; Horner's rule on (t - x_k) then expands the Newton
-    form into monomials.
+    One integer Bareiss run at t = 2^B (`_kronecker_determinant`), on the
+    reverse Cuthill-McKee order of the joint nonzero pattern of A and B
+    (the same permutation of rows and columns leaves det unchanged), which
+    keeps the sparse Seifert pencils banded: O(n*b^2) multiplications of
+    ints of O(n*B) bits for bandwidth b. Each entry a + b*t has
+    ||.||_1 = |a| + |b|, so B is about log2 of the Hadamard bound, and the
+    result has degree at most n.
     """
     n = len(a)
     if len(b) != n:
         raise ValueError("pencil matrices differ in size")
     if any(len(row) != n for row in (*a, *b)):
         raise ValueError("pencil matrices are not square")
-    if n == 0:
-        return LaurentPolynomial.constant(1)
     cols = range(n)
     pattern = [list(compress(cols, map(or_, ra, rb))) for ra, rb in zip(a, b)]
     order = _reverse_cuthill_mckee(pattern)
     where = [0] * n
     for new, old in enumerate(order):
         where[old] = new
-    entries = [(where[i], where[j], a[i][j], b[i][j]) for i in cols for j in pattern[i]]
-    # bareiss_determinant copies its input, so one matrix serves every
-    # point: only the entries of the pattern change between points
-    matrix = [[0] * n for _ in cols]
-    points = range(-(n // 2), n + 1 - n // 2)
-    diffs = []
-    for x in points:
-        for i, j, aij, bij in entries:
-            matrix[i][j] = aij + x * bij
-        diffs.append(bareiss_determinant(matrix))
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], k)
-            if rem:
-                raise ArithmeticError("interpolation produced a non-integer coefficient")
-    coeffs = [diffs[n]]
-    for k in range(n - 1, -1, -1):
-        x = points[k]
-        coeffs = [up - x * c for up, c in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += diffs[k]
-    return LaurentPolynomial.from_coeffs(0, coeffs)
+    entries = [(where[i], where[j], 0, (a[i][j], b[i][j])) for i in cols for j in pattern[i]]
+    return _kronecker_determinant(n, entries)
 
 
 def laurent_matrix_determinant(
@@ -195,16 +224,17 @@ def laurent_matrix_determinant(
 ) -> LaurentPolynomial:
     """Determinant of a square Laurent-polynomial matrix.
 
-    The Bareiss kernel over Z[t, t^-1]: O(n^3) ring operations, where a
-    minor expansion would hold up to 2^(n-1) minors. On the dense
-    coefficient vectors, a product of polynomials with d and e coefficients
-    costs O(d*e), a sum O(d + e), and an exact division a long division
-    over the quotient's span. The first step's divisor is the kernel's
-    int pivot 1, which // and * return at once. An n-strand reduced Burau
-    matrix is (n-1) x (n-1).
+    One integer Bareiss run at t = 2^B (`_kronecker_determinant`) on the
+    nonzero entries: the ring arithmetic of Z[t, t^-1] becomes big-int
+    arithmetic, and no polynomial is multiplied or divided. An n-strand
+    reduced Burau matrix is (n-1) x (n-1).
     """
-    det = bareiss_determinant(matrix)
-    return LaurentPolynomial.constant(det) if isinstance(det, int) else det
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    entries = [(i, j, p.lo, p.coeffs) for i, row in enumerate(matrix)
+               for j, p in enumerate(row) if p]
+    return _kronecker_determinant(n, entries)
 
 
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> int:

@@ -16,6 +16,7 @@ from typing import Mapping
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
 from .profiles import InvariantProfile, UNKNOT_PROFILE_KEY, profile_of_braid
+from .seifert import seifert_matrix_of_braid
 
 _DATA_PACKAGE = "knotsum.data"
 _TABLE_FILE = "knots.txt"
@@ -76,8 +77,11 @@ def _single_flip_unknots(word: BraidWord) -> bool:
     for i in range(len(word.letters)):
         letters = list(word.letters)
         letters[i] = -letters[i]
-        p = profile_of_braid(BraidWord(word.strands, tuple(letters)))
-        if p.fingerprint() == UNKNOT_PROFILE_KEY:
+        flipped = BraidWord(word.strands, tuple(letters))
+        # |det(V + V^T)| = |alexander(-1)|, which is 1 for the unknot
+        if seifert_matrix_of_braid(flipped).determinant_invariant() != 1:
+            continue
+        if profile_of_braid(flipped).fingerprint() == UNKNOT_PROFILE_KEY:
             return True
     return False
 

@@ -93,12 +93,14 @@ def test_pencil_matches_evaluations(ab):
         assert _at(p, x) == bareiss_determinant(mx)
 
 
-def test_pencil_rejects_values_of_no_integer_polynomial(monkeypatch):
-    # 0, 0, 1 at t = -1, 0, 1 fit only t(t + 1)/2
-    values = iter((0, 0, 1))
+def test_kronecker_rejects_a_determinant_wider_than_its_rows(monkeypatch):
+    # det([[1]] + t*[[0]]) has degree at most 1; at t = 2^3 (Hadamard bound
+    # 1) a value 8^2 decodes to t^2, which no 1 x 1 pencil can give
+    values = iter((8, 64))
     monkeypatch.setattr(linalg, "bareiss_determinant", lambda m: next(values))
+    assert pencil_determinant([[1]], [[0]]) == T
     with pytest.raises(ArithmeticError):
-        pencil_determinant([[0, 0], [0, 0]], [[0, 0], [0, 0]])
+        pencil_determinant([[1]], [[0]])
 
 
 def _random_matrix(rng, n, density, lo=-4, hi=4):
@@ -106,14 +108,52 @@ def _random_matrix(rng, n, density, lo=-4, hi=4):
             for _ in range(n)]
 
 
+def _sylvester(n):
+    # the n x n Sylvester-Hadamard matrix, n a power of 2: |det| = n^(n/2),
+    # Hadamard's bound for entries of absolute value 1
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
+def _scaled(m, c):
+    return [[c * v for v in row] for row in m]
+
+
+def _tight_pencils(rng):
+    # det reaches the coefficient bound: A = H (constant det), B = H (the
+    # t^n coefficient), and A = B = H, entries 1 + t, so each row's bound
+    # sums |a| + |b|; then entries of 2^64, a zero row and a repeated row
+    for n in (4, 8):
+        h, zero = _sylvester(n), [[0] * n for _ in range(n)]
+        yield h, zero
+        yield zero, _scaled(h, -1)
+        yield h, h
+        yield _scaled(h, -1), h
+    for n in (1, 3, 5):
+        yield (_scaled(_random_matrix(rng, n, 0.7), 2**64),
+               _scaled(_random_matrix(rng, n, 0.7), -(2**64)))
+    a, b = _random_matrix(rng, 5, 1.0), _random_matrix(rng, 5, 1.0)
+    a[2] = b[2] = [0] * 5
+    yield a, b
+    a, b = _random_matrix(rng, 5, 1.0), _random_matrix(rng, 5, 1.0)
+    a[3], b[3] = a[1], b[1]  # det 0 at every t
+    yield a, b
+
+
 def test_pencil_matches_laurent_determinant_on_seeded_matrices():
     rng = random.Random(20261018)
+    cases = []
     for trial in range(120):
         n = trial % 8
         a = _random_matrix(rng, n, rng.choice((0.3, 1.0)))
         b = _random_matrix(rng, n, rng.choice((0.3, 1.0)))
         if n and trial % 3 == 0:
             b[rng.randrange(n)] = [0] * n  # singular B: degree drops below n
+        cases.append((a, b))
+    for a, b in cases + list(_tight_pencils(rng)):
+        n = len(a)
         pencil = [[LaurentPolynomial.from_dict({0: a[i][j], 1: b[i][j]}) for j in range(n)]
                   for i in range(n)]
         expected = _cofactor_det(pencil, ONE)
@@ -246,6 +286,22 @@ def test_kernel_matches_minor_expansion_over_laurent_polynomials():
                [ZERO, ZERO, p * q, T], [q, ZERO, ZERO, p]]
     for m in (swap, sit_out):
         assert laurent_matrix_determinant(m) == _cofactor_det(m, ONE) != ZERO
+    # Sylvester-Hadamard rows times t^k, k negative in some rows, and times
+    # +-(1 + t): the det's top coefficient meets the Hadamard bound
+    big = LaurentPolynomial.from_dict({-3: 2**64, 2: -(2**64) + 1})
+    tight = []
+    for n in (4, 8):
+        shifts = [rng.randint(-4, 3) for _ in range(n)]
+        for f in (ONE, p, -p):
+            tight.append([[f.shift(k) * v for v in row]
+                          for k, row in zip(shifts, _sylvester(n))])
+    tight.append([[big if v else ZERO for v in row] for row in _sparse_test_matrix(rng, 5)])
+    tight.append([[big * v for v in row] for row in _sylvester(4)])
+    zero_row = [[_random_laurent(rng) for _ in range(4)] for _ in range(4)]
+    zero_row[1] = [ZERO] * 4
+    tight.append(zero_row)
+    for m in tight:
+        assert laurent_matrix_determinant(m) == _cofactor_det(m, ONE), m
 
 
 @given(st.integers(1, 3).flatmap(square_matrices))
