@@ -69,14 +69,10 @@ class ClosureData:
 
     permutation maps top position i to the bottom position reached by the
     strand entering at i (1-based, stored as a tuple indexed from 0).
-    euler_char is the Euler characteristic of the canonical Seifert
-    surface: one disk per strand, one band per letter.
     """
 
     permutation: tuple[int, ...]
     components: int
-    writhe: int
-    euler_char: int
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         return _cycles(self.permutation)
@@ -161,12 +157,7 @@ def closure_data(word: BraidWord) -> ClosureData:
     for bottom_pos, top_start in enumerate(perm):
         image[top_start - 1] = bottom_pos + 1
     permutation = tuple(image)
-    return ClosureData(
-        permutation=permutation,
-        components=len(_cycles(permutation)),
-        writhe=word.writhe,
-        euler_char=n - len(word.letters),
-    )
+    return ClosureData(permutation=permutation, components=len(_cycles(permutation)))
 
 
 def split_braid(word: BraidWord, k: int) -> tuple[BraidWord, BraidWord]:

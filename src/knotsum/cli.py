@@ -16,7 +16,6 @@ from typing import NamedTuple, Sequence
 from .braid import (
     BraidWord,
     ShuffleError,
-    closure_data,
     default_shuffle,
     format_braid,
     murasugi_concat,
@@ -36,7 +35,7 @@ from .plumbing import (
     normalize,
     rewrite_search,
 )
-from .profiles import identify, profile_of_braid
+from .profiles import BraidInvariants, identify
 from .surgery import (
     CERT_INCONSISTENT,
     TripleBudget,
@@ -114,8 +113,9 @@ def _cmd_invariants(args: argparse.Namespace) -> Report:
         ]
     else:
         word = _parse_braid_arg(text, args.strands)
-        profile = profile_of_braid(word)
-        data = closure_data(word)
+        invariants = BraidInvariants(word)
+        profile = invariants.profile(word)
+        data = invariants.closure
         payload = {
             "kind": "braid",
             "word": format_braid(word),
@@ -123,7 +123,7 @@ def _cmd_invariants(args: argparse.Namespace) -> Report:
             "letters": len(word.letters),
             "permutation_cycles": [list(c) for c in data.cycles()],
             "components": data.components,
-            "writhe": data.writhe,
+            "writhe": word.writhe,
         }
         cycles = " ".join(
             "(" + " ".join(str(v) for v in c) + ")"

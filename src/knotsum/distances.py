@@ -218,6 +218,11 @@ def _sum_status(r1: _Resolved, r2: _Resolved, r3: _Resolved) -> tuple[str, str]:
     )
 
 
+def _values(derivation: list[DerivationEntry]) -> list[int]:
+    """The bound each derivation entry proves; status notes carry none."""
+    return [entry.value for entry in derivation if entry.value is not None]
+
+
 def _lower(r1: _Resolved, r2: _Resolved, r3: _Resolved,
            data: DistanceData) -> tuple[int, str, tuple[DerivationEntry, ...]]:
     s1, s2, s3 = (r.profile.signature for r in (r1, r2, r3))
@@ -228,12 +233,10 @@ def _lower(r1: _Resolved, r2: _Resolved, r3: _Resolved,
     derivation.append(DerivationEntry(
         "signature_bound", sig, f"|({s1}) + ({s2}) - ({s3})| + 2, evened up"
     ))
-    candidates = [sig]
 
     status, note = _sum_status(r1, r2, r3)
     derivation.append(DerivationEntry("connected_sum_status", None, f"{status}: {note}"))
     if status == STATUS_DISTINCT:
-        candidates.append(4)
         derivation.append(DerivationEntry(
             "distinctness_bound", 4,
             "K3 is not K1 # K2, so one coherent band is not enough: d_cb >= 2",
@@ -244,7 +247,6 @@ def _lower(r1: _Resolved, r2: _Resolved, r3: _Resolved,
         curated = data.pair_value(comp, r3.name, KIND_COHERENT_BAND)
         if curated:
             value, source = curated
-            candidates.append(value + 2)
             derivation.append(DerivationEntry(
                 "curated_band_surgery_bound", value + 2,
                 f"d_cb({comp}, {r3.name}) = {value} [{source}]",
@@ -253,7 +255,6 @@ def _lower(r1: _Resolved, r2: _Resolved, r3: _Resolved,
         e_comp = data.e_of(comp)
         if e_comp is not None and e3 is not None:
             value = abs(e_comp - e3) + 2
-            candidates.append(value)
             derivation.append(DerivationEntry(
                 "nakanishi_bound", value,
                 f"|e({comp}) - e({r3.name})| + 2 = |{e_comp} - {e3}| + 2",
@@ -262,7 +263,6 @@ def _lower(r1: _Resolved, r2: _Resolved, r3: _Resolved,
             e1, e2 = data.e_of(r1.name), data.e_of(r2.name)
             if e1 is not None and e2 is not None and max(e1, e2) > e3:
                 value = max(e1, e2) - e3 + 2
-                candidates.append(value)
                 derivation.append(DerivationEntry(
                     "nakanishi_summand_bound", value,
                     f"e({comp}) >= max({e1}, {e2}) conservatively; minus e={e3}, plus 2",
@@ -272,7 +272,7 @@ def _lower(r1: _Resolved, r2: _Resolved, r3: _Resolved,
         "split_link_bound", None,
         "d_cb(K1 u K2, K3) + 1 is dominated by the connected-sum bound; not computed",
     ))
-    return max(candidates), status, tuple(derivation)
+    return max(_values(derivation)), status, tuple(derivation)
 
 
 def _band_twist_estimate(data: DistanceData, a: str, b: str) -> tuple[int, str] | None:
@@ -306,9 +306,7 @@ def _score_roles(data: DistanceData, k1: str, k2: str, k3: str):
 def _upper(r1: _Resolved, r2: _Resolved, r3: _Resolved, status: str,
            data: DistanceData) -> tuple[int | None, tuple[DerivationEntry, ...]]:
     derivation: list[DerivationEntry] = []
-    candidates: list[int] = []
     if status == STATUS_EQUAL:
-        candidates.append(2)
         derivation.append(DerivationEntry(
             "connected_sum_exact", 2, "K3 = K1 # K2, a 2-gon Murasugi sum"
         ))
@@ -320,7 +318,6 @@ def _upper(r1: _Resolved, r2: _Resolved, r3: _Resolved, status: str,
             derivation.append(DerivationEntry("band_twist_bound", None, f"{label}: {reason}"))
             continue
         _, _, p, q, gon = role
-        candidates.append(gon)
         derivation.append(DerivationEntry(
             "band_twist_bound", gon,
             f"2(p + q + 1) with p={p[0]} ({p[1]}), q={q[0]} ({q[1]}); {label}",
@@ -329,12 +326,11 @@ def _upper(r1: _Resolved, r2: _Resolved, r3: _Resolved, status: str,
     if all(u is not None for u in us):
         # a sum is at least a 2-gon, even when every u vanishes
         coarse = max(2, 4 * sum(us))
-        candidates.append(coarse)
         derivation.append(DerivationEntry(
             "coarse_unknotting_bound", coarse,
             f"4(u1 + u2 + u3) = 4({us[0]} + {us[1]} + {us[2]}), floor 2",
         ))
-    return (min(candidates) if candidates else None), tuple(derivation)
+    return min(_values(derivation), default=None), tuple(derivation)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ no entry is zero, so searches accept a word only in that form.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple
@@ -185,12 +186,12 @@ class RewriteTrace:
         way, the boundary link may not change.
         """
         words = self.replay()
-        for step, before, after in zip(self.steps, words, words[1:]):
-            if step.rule == RULE_SUM:
-                continue
-            if boundary_profile(before).link_key() != boundary_profile(after).link_key():
-                return False
-        return True
+        key = functools.cache(lambda word: boundary_profile(word).link_key())
+        return all(
+            key(before) == key(after)
+            for step, before, after in zip(self.steps, words, words[1:])
+            if step.rule != RULE_SUM
+        )
 
 
 def boundary_profile(word: PlumbingWord) -> InvariantProfile:

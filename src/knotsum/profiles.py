@@ -10,10 +10,15 @@ route; the Burau route stays an independent oracle for the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .braid import BraidWord, closure_data, free_reduce
 from .laurent import LaurentPolynomial
-from .seifert import SeifertMatrix, alexander_of_surface, seifert_matrix_of_braid
+from .seifert import (
+    SeifertMatrix,
+    canonical_surface_is_connected,
+    seifert_matrix_of_braid,
+)
 
 
 @dataclass(frozen=True)
@@ -70,18 +75,60 @@ def canonical_genus_bound(word: BraidWord, components: int) -> int:
     return max(0, genus2) // 2
 
 
+class BraidInvariants:
+    """Exact invariants of one braid closure, each computed on first use.
+
+    Every invariant but the genus bound is fixed on a conjugacy class, so
+    one record serves every word of the class that `word` belongs to.
+    """
+
+    def __init__(self, word: BraidWord) -> None:
+        self.word = word
+        self.closure = closure_data(word)
+        self.components = self.closure.components
+        self._profiles: dict[BraidWord, InvariantProfile] = {}
+
+    @cached_property
+    def matrix(self) -> SeifertMatrix:
+        return seifert_matrix_of_braid(self.word)
+
+    @cached_property
+    def determinant(self) -> int:
+        """|det(V + V^T)|, the link determinant when the closure is a knot."""
+        return self.matrix.determinant_invariant()
+
+    @cached_property
+    def signature(self) -> int:
+        return self.matrix.signature()
+
+    @cached_property
+    def alexander(self) -> LaurentPolynomial:
+        """Zero for a split closure (some generator unused), whose canonical
+        surface is disconnected."""
+        if not canonical_surface_is_connected(self.word):
+            return LaurentPolynomial()
+        return self.matrix.alexander()
+
+    def profile(self, word: BraidWord) -> InvariantProfile:
+        """Profile of a word of this record's class, built once per word.
+
+        Only the genus bound is read off the word itself.
+        """
+        profile = self._profiles.get(word)
+        if profile is None:
+            profile = self._profiles[word] = InvariantProfile(
+                alexander=self.alexander,
+                signature=self.signature,
+                determinant=abs(self.alexander.at_minus_one()),
+                canonical_genus_bound=canonical_genus_bound(word, self.components),
+                components=self.components,
+            )
+        return profile
+
+
 def profile_of_braid(word: BraidWord) -> InvariantProfile:
     """Profile of the braid closure, with the word's canonical genus bound."""
-    matrix = seifert_matrix_of_braid(word)
-    alexander = alexander_of_surface(word, matrix)
-    components = closure_data(word).components
-    return InvariantProfile(
-        alexander=alexander,
-        signature=matrix.signature(),
-        determinant=abs(alexander.at_minus_one()),
-        canonical_genus_bound=canonical_genus_bound(word, components),
-        components=components,
-    )
+    return BraidInvariants(word).profile(word)
 
 
 def profile_of_seifert_matrix(matrix: SeifertMatrix) -> InvariantProfile:

@@ -26,7 +26,8 @@ fixes the global mirror convention; the test suite enforces both.
 det(V - t*V^T) is the Alexander polynomial only when the surface is
 connected, which for a closed braid means every generator index occurs
 in the word. Otherwise the closure is a split link and its Alexander
-polynomial vanishes; alexander_of_surface handles that case.
+polynomial vanishes; alexander_of_braid and profiles.BraidInvariants
+handle that case.
 
 A linear plumbing of unknotted annuli with even twist counts
 [a1, ..., an] gets the n x n matrix with diagonal -ai/2 and a single +1
@@ -159,16 +160,11 @@ def canonical_surface_is_connected(word: BraidWord) -> bool:
 
 
 def alexander_of_braid(word: BraidWord) -> LaurentPolynomial:
-    """Alexander polynomial of the closure, through the surface route."""
-    return alexander_of_surface(word, seifert_matrix_of_braid(word))
-
-
-def alexander_of_surface(word: BraidWord, matrix: SeifertMatrix) -> LaurentPolynomial:
-    """Alexander polynomial of the closure from its canonical-surface matrix.
+    """Alexander polynomial of the closure, through the surface route.
 
     Split closures (some generator index unused) have a disconnected
     canonical surface; their Alexander polynomial is zero.
     """
     if not canonical_surface_is_connected(word):
         return LaurentPolynomial()
-    return matrix.alexander()
+    return seifert_matrix_of_braid(word).alexander()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -25,14 +24,12 @@ from .braid import (
     conjugacy_key,
     split_braid,
 )
-from .laurent import LaurentPolynomial
 from .profiles import (
+    BraidInvariants,
     InvariantProfile,
-    canonical_genus_bound,
     is_unknot_consistent,
     profile_of_braid,
 )
-from .seifert import SeifertMatrix, alexander_of_surface, seifert_matrix_of_braid
 from .table import load_table, lookup, match_profile
 
 SIDE_POSITIVE = "positive"
@@ -201,63 +198,21 @@ class TripleFailure:
         return {"stage": self.stage, "detail": self.detail}
 
 
-class _ClassInvariants:
-    """Exact invariants of one conjugacy class, each computed on first use.
+class ClassMemo:
+    """Invariants by conjugacy class; one search_triples call owns one.
 
-    `word` is the class representative that conjugacy_key spells out.
+    Each class keeps the BraidInvariants of the representative that
+    conjugacy_key spells out.
     """
 
-    def __init__(self, word: BraidWord) -> None:
-        self.word = word
-        # conjugation only conjugates the permutation: same cycle count
-        self.components = closure_data(word).components
-        self._profiles: dict[BraidWord, InvariantProfile] = {}
-
-    @cached_property
-    def matrix(self) -> SeifertMatrix:
-        return seifert_matrix_of_braid(self.word)
-
-    @cached_property
-    def determinant(self) -> int:
-        """|det(V + V^T)|, the link determinant when the closure is a knot."""
-        return self.matrix.determinant_invariant()
-
-    @cached_property
-    def signature(self) -> int:
-        return self.matrix.signature()
-
-    @cached_property
-    def alexander(self) -> LaurentPolynomial:
-        return alexander_of_surface(self.word, self.matrix)
-
-    def profile(self, word: BraidWord) -> InvariantProfile:
-        """profile_of_braid(word) for a word of this class, built once per word.
-
-        Only the genus bound is read off the word itself.
-        """
-        profile = self._profiles.get(word)
-        if profile is None:
-            profile = self._profiles[word] = InvariantProfile(
-                alexander=self.alexander,
-                signature=self.signature,
-                determinant=abs(self.alexander.at_minus_one()),
-                canonical_genus_bound=canonical_genus_bound(word, self.components),
-                components=self.components,
-            )
-        return profile
-
-
-class ClassMemo:
-    """Invariants by conjugacy class; one search_triples call owns one."""
-
     def __init__(self) -> None:
-        self._classes: dict[tuple[int, tuple[int, ...]], _ClassInvariants] = {}
+        self._classes: dict[tuple[int, tuple[int, ...]], BraidInvariants] = {}
 
-    def of(self, strands: int, letters: Sequence[int]) -> _ClassInvariants:
+    def of(self, strands: int, letters: Sequence[int]) -> BraidInvariants:
         key = conjugacy_key(strands, letters)
         invariants = self._classes.get(key)
         if invariants is None:
-            invariants = self._classes[key] = _ClassInvariants(BraidWord(*key))
+            invariants = self._classes[key] = BraidInvariants(BraidWord(*key))
         return invariants
 
 

@@ -15,8 +15,12 @@ from typing import Mapping
 
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
-from .profiles import InvariantProfile, UNKNOT_PROFILE_KEY, profile_of_braid
-from .seifert import seifert_matrix_of_braid
+from .profiles import (
+    BraidInvariants,
+    InvariantProfile,
+    UNKNOT_PROFILE_KEY,
+    profile_of_braid,
+)
 
 _DATA_PACKAGE = "knotsum.data"
 _TABLE_FILE = "knots.txt"
@@ -78,10 +82,11 @@ def _single_flip_unknots(word: BraidWord) -> bool:
         letters = list(word.letters)
         letters[i] = -letters[i]
         flipped = BraidWord(word.strands, tuple(letters))
+        invariants = BraidInvariants(flipped)
         # |det(V + V^T)| = |alexander(-1)|, which is 1 for the unknot
-        if seifert_matrix_of_braid(flipped).determinant_invariant() != 1:
+        if invariants.determinant != 1:
             continue
-        if profile_of_braid(flipped).fingerprint() == UNKNOT_PROFILE_KEY:
+        if invariants.profile(flipped).fingerprint() == UNKNOT_PROFILE_KEY:
             return True
     return False
 

@@ -59,8 +59,6 @@ def test_closure_data_examples():
     data = closure_data(BraidWord(2, (1, 1, 1)))
     assert data.components == 1
     assert data.permutation == (2, 1)
-    assert data.writhe == 3
-    assert data.euler_char == 2 - 3
     assert data.cycles() == ((1, 2),)
 
     trivial = closure_data(BraidWord(3, ()))

@@ -119,6 +119,21 @@ def test_normalize_examples():
     assert normalize(PlumbingWord((2, 4, 0))).end == PlumbingWord((2,))
 
 
+def test_check_profiles_builds_each_boundary_once(monkeypatch):
+    seen = []
+    build = plumbing.boundary_profile
+
+    def counting(word):
+        seen.append(word)
+        return build(word)
+
+    monkeypatch.setattr(plumbing, "boundary_profile", counting)
+    trace = normalize(PlumbingWord((2, 2, -2, 0, 2, 0, 2, 2)))
+    assert len(trace.steps) == 2  # the middle word ends one step, starts the next
+    assert trace.check_profiles()
+    assert seen == trace.replay()
+
+
 def test_trace_replay_checks_the_recorded_end():
     trace = normalize(PlumbingWord((2, 0, 2)))
     words = trace.replay()

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from knotsum import surgery
+from knotsum import profiles, surgery
 from knotsum.braid import BraidWord, closure_data, conjugacy_key, murasugi_concat, split_braid
 from knotsum.profiles import canonical_genus_bound, is_unknot_consistent, profile_of_braid
 from knotsum.table import match_profile
@@ -218,14 +218,14 @@ def test_search_triples_profiles_each_word_once(monkeypatch):
     # once per conjugacy class, in fact: the Seifert matrix is the whole
     # exact cost, and each class builds it for its representative alone
     seen = Counter()
-    matrix = surgery.seifert_matrix_of_braid
+    matrix = profiles.seifert_matrix_of_braid
 
     def counting(word):
         assert conjugacy_key(word.strands, word.letters) == (word.strands, word.letters)
         seen[word] += 1
         return matrix(word)
 
-    monkeypatch.setattr(surgery, "seifert_matrix_of_braid", counting)
+    monkeypatch.setattr(profiles, "seifert_matrix_of_braid", counting)
     # the (3_1, 2) and (unknot, 2) pools draw on the same candidate words
     assert search_triples(("unknot", "3_1", "3_1"), TripleBudget(max_total_letters=4))
     assert seen

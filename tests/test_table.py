@@ -1,8 +1,11 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from corpus import random_knot_words
+from knotsum import profiles, seifert
+from knotsum import table as table_module
 from knotsum.braid import BraidWord
 from knotsum.profiles import profile_of_braid
 from knotsum.surgery import apply_crossing_changes
@@ -38,6 +41,26 @@ def test_validation_refuses_each_bad_entry(entries, refusal):
     assert _validate([table["unknot"], table["5_2"]])  # good entries pass
     with pytest.raises(TableError, match=refusal):
         _validate(entries(table))
+
+
+def test_validation_builds_each_seifert_matrix_once(monkeypatch):
+    # the entry words and every flip of a u = 1 word; a flip with
+    # determinant 1 goes on to its profile off the same matrix
+    entries = list(load_table().values())  # loading validates once, uncounted
+    build = seifert.seifert_matrix_of_braid
+    seen = Counter()
+
+    def counting(word):
+        seen[word] += 1
+        return build(word)
+
+    # every module that binds the builder, so no route escapes the count
+    for module in (seifert, profiles, table_module):
+        if hasattr(module, "seifert_matrix_of_braid"):
+            monkeypatch.setattr(module, "seifert_matrix_of_braid", counting)
+    _validate(entries)
+    assert {entry.word for entry in entries} < set(seen)
+    assert max(seen.values()) == 1
 
 
 def test_expected_names_present():
