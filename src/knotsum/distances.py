@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .profiles import InvariantProfile
-from .table import load_table, lookup
+from .table import load_table, lookup, records, shipped_text
 
 KIND_BAND_TWIST = "d_bt"
 KIND_GORDIAN = "d_G"
@@ -31,9 +30,6 @@ _KINDS = (KIND_BAND_TWIST, KIND_GORDIAN, KIND_COHERENT_BAND)
 STATUS_EQUAL = "certified_equal"
 STATUS_DISTINCT = "certified_distinct"
 STATUS_UNDETERMINED = "undetermined"
-
-_DATA_PACKAGE = "knotsum.data"
-_DATA_FILE = "distances.txt"
 
 
 class DistanceDataError(ValueError):
@@ -75,11 +71,7 @@ def _parse(text: str) -> DistanceData:
     """Parse and validate the records of one data file."""
     knots: dict[str, KnotRecord] = {}
     pairs: dict[tuple[str, str], dict[str, tuple[int, str]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] == "knot":
             if len(parts) != 4:
                 raise DistanceDataError(f"line {lineno}: knot record needs 3 fields")
@@ -170,7 +162,7 @@ def load_distance_data(path: str | Path | None = None) -> DistanceData:
 
 @functools.lru_cache(maxsize=1)
 def _load_default() -> DistanceData:
-    return _parse(resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text())
+    return _parse(shipped_text("distances.txt"))
 
 
 class DerivationEntry(NamedTuple):
@@ -256,16 +248,17 @@ def _lower(r1: _Resolved, r2: _Resolved, r3: _Resolved,
         if e_comp is not None and e3 is not None:
             value = abs(e_comp - e3) + 2
             derivation.append(DerivationEntry(
-                "nakanishi_bound", value,
-                f"|e({comp}) - e({r3.name})| + 2 = |{e_comp} - {e3}| + 2",
+                "nakanishi_bound", value + value % 2,
+                f"|e({comp}) - e({r3.name})| + 2 = |{e_comp} - {e3}| + 2, evened up",
             ))
         elif e3 is not None:
             e1, e2 = data.e_of(r1.name), data.e_of(r2.name)
             if e1 is not None and e2 is not None and max(e1, e2) > e3:
                 value = max(e1, e2) - e3 + 2
                 derivation.append(DerivationEntry(
-                    "nakanishi_summand_bound", value,
-                    f"e({comp}) >= max({e1}, {e2}) conservatively; minus e={e3}, plus 2",
+                    "nakanishi_summand_bound", value + value % 2,
+                    f"e({comp}) >= max({e1}, {e2}) conservatively; minus e={e3}, plus 2, "
+                    "evened up",
                 ))
 
     derivation.append(DerivationEntry(

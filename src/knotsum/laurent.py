@@ -195,22 +195,6 @@ class LaurentPolynomial:
             raise ValueError("inexact polynomial division")
         return _make(self.lo - divisor.lo, tuple(quot))
 
-    def __floordiv__(self, divisor: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        """Exact quotient: divide_exact, or each coefficient by an int divisor."""
-        if not isinstance(divisor, int):
-            return self.divide_exact(divisor)
-        if not divisor:
-            raise ZeroDivisionError("division by zero polynomial")
-        if divisor == 1:
-            return self
-        quot = []
-        for c in self.coeffs:
-            q, r = divmod(c, divisor)
-            if r:
-                raise ValueError("inexact polynomial division")
-            quot.append(q)
-        return _make(self.lo, tuple(quot))
-
     def normalized(self) -> "LaurentPolynomial":
         """Balance the support around exponent 0 and make the top coefficient positive.
 

@@ -1,15 +1,13 @@
 """Exact, fraction-free linear algebra over the integers and over Z[t, t^-1].
 
-One determinant kernel, `bareiss_determinant`: fraction-free elimination
-(Bareiss 1968) that never touches a zero. Its only divisions are exact,
-so it runs unchanged over any integral domain whose elements support
-+, -, *, truth (nonzero) and an exact //; the package feeds it Python
-ints only, on both Alexander routes. A row with a zero under
+One determinant kernel, `bareiss_determinant`: fraction-free integer
+elimination (Bareiss 1968) that never touches a zero, used by both
+Alexander routes. Its only divisions are exact. A row with a zero under
 the pivot sits the step out, and its missed scalings by p_k/p_(k-1)
 telescope into one exact division by a stored pivot ratio, done when the
 row next takes part; each row update stops at the last nonzero column of
 the pivot row or of the row itself, so fill stays inside the rows'
-skyline. On a matrix of bandwidth b that is O(n*b^2) ring operations
+skyline. On a matrix of bandwidth b that is O(n*b^2) integer operations
 plus O(n^2) zero tests (row ends, pivot columns), against O(n^3) dense.
 
 Polynomial determinants, of matrix pencils A + t*B and of matrices of
@@ -28,19 +26,13 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd, isqrt, prod
 from operator import or_
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 from .laurent import ZERO, LaurentPolynomial
 
-R = TypeVar("R")
 
-
-def bareiss_determinant(matrix: Sequence[Sequence[R]]) -> R | int:
-    """Fraction-free determinant of a square matrix over an integral domain.
-
-    Entries are ints or any ring elements with +, -, *, truth and an exact
-    //; the result is the int 1 for an empty matrix and the int 0 for a
-    singular one.
+def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix; 1 when empty.
 
     The pivot at step k is the first row at or below k with a nonzero in
     column k (a swap flips the sign). level[i] = L records that row i holds

@@ -127,15 +127,12 @@ def seifert_matrix_of_braid(word: BraidWord) -> SeifertMatrix:
                     e = u.second_sign
                     m[r][s] = (e + 1) // 2
                     m[s][r] = (e - 1) // 2
-            elif abs(u.index - v.index) == 1:
-                if u.index < v.index:
-                    left, right, lr, ls = u, v, r, s
-                else:
-                    left, right, lr, ls = v, u, s, r
-                if left.first < right.first < left.second < right.second:
-                    m[lr][ls] += 1
-                elif right.first < left.first < right.second < left.second:
-                    m[lr][ls] -= 1
+            elif v.index == u.index + 1:
+                # loops are sorted by index, so u is the left-index loop
+                if u.first < v.first < u.second < v.second:
+                    m[r][s] = 1
+                elif v.first < u.first < v.second < u.second:
+                    m[r][s] = -1
     return SeifertMatrix.from_lists(m)
 
 

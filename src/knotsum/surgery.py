@@ -44,17 +44,19 @@ CERT_INCONSISTENT = "inconsistent"
 class TwistAnnulus:
     """One crossing change realized as plumbing a twisted annulus.
 
-    Contributes a 4-gon before merging, whichever side it lands on.
+    Its side is the sign of its twist. Contributes a 4-gon before merging,
+    whichever side it lands on.
     """
 
     full_twists: int
-    side: str
 
     def __post_init__(self) -> None:
         if self.full_twists == 0:
             raise ValueError("an annulus with no twists is not a crossing change")
-        if self.side not in (SIDE_POSITIVE, SIDE_NEGATIVE):
-            raise ValueError(f"side must be positive or negative, got {self.side!r}")
+
+    @property
+    def side(self) -> str:
+        return SIDE_POSITIVE if self.full_twists > 0 else SIDE_NEGATIVE
 
     @property
     def gon_contribution(self) -> int:
@@ -131,12 +133,8 @@ def apply_crossing_changes(word: BraidWord, positions) -> CrossingChangeResult:
     letters = list(word.letters)
     records = []
     for p in sorted(index_set):
-        old = letters[p]
-        letters[p] = -old
-        if old > 0:
-            records.append(TwistAnnulus(full_twists=-1, side=SIDE_NEGATIVE))
-        else:
-            records.append(TwistAnnulus(full_twists=1, side=SIDE_POSITIVE))
+        letters[p] = -letters[p]
+        records.append(TwistAnnulus(full_twists=1 if letters[p] > 0 else -1))
     return CrossingChangeResult(
         word=BraidWord(word.strands, tuple(letters)), records=tuple(records)
     )
@@ -146,13 +144,12 @@ def unknot_certificate(word: BraidWord, from_walk: bool = False) -> str:
     """Tri-state unknot status; invariants alone never fully certify.
 
     from_walk marks words built by flipping a walk-selected set, which
-    are monotone diagrams and therefore genuinely unknots.
+    are monotone diagrams and therefore genuinely unknots; such a word is
+    certified only when its invariants agree.
     """
-    if from_walk:
-        return CERT_DESCENDING
-    if is_unknot_consistent(profile_of_braid(word)):
-        return CERT_CONSISTENT
-    return CERT_INCONSISTENT
+    if not is_unknot_consistent(profile_of_braid(word)):
+        return CERT_INCONSISTENT
+    return CERT_DESCENDING if from_walk else CERT_CONSISTENT
 
 
 @dataclass(frozen=True)

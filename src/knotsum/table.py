@@ -1,9 +1,11 @@
-"""Reference table of knots through 7 crossings.
+"""Reference table of knots through 7 crossings, and the reader of the data files.
 
 Each entry pairs a braid-word representative with literature unknotting
 numbers and a cached invariant profile.  The table ships as a plain-text
 file; loading recomputes every cached value and refuses to start on any
 mismatch, so the data file cannot drift from the code that interprets it.
+`records` and `shipped_text` read every file in knotsum/data, this table
+and the distance data alike.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
@@ -21,9 +23,6 @@ from .profiles import (
     UNKNOT_PROFILE_KEY,
     profile_of_braid,
 )
-
-_DATA_PACKAGE = "knotsum.data"
-_TABLE_FILE = "knots.txt"
 
 
 class TableError(Exception):
@@ -35,9 +34,8 @@ class KnotTableEntry:
     """One reference knot: braid representative plus curated data.
 
     unknotting_number is literature data (see source column in the data
-    file); the loader cross-checks it internally where it can.  The
-    nakanishi_index ships unset and may be supplied through the distance
-    data file instead.
+    file); the loader cross-checks it internally where it can.  Nakanishi
+    indices live in the distance data only.
     """
 
     name: str
@@ -45,15 +43,26 @@ class KnotTableEntry:
     word: BraidWord
     unknotting_number: int
     unknotting_source: str
-    nakanishi_index: int | None
     profile: InvariantProfile
 
 
-def _parse_row(line: str, lineno: int) -> KnotTableEntry:
-    parts = line.split()
-    if len(parts) != 11:
-        raise TableError(f"line {lineno}: expected 11 fields, got {len(parts)}")
-    name, crossings, strands, word, u, usource, e, sigma, det, genus, alex = parts
+def records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, whitespace-separated fields) of each line that is not blank or a # comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line.split()
+
+
+def shipped_text(name: str) -> str:
+    """Text of a data file shipped in the knotsum.data package."""
+    return resources.files("knotsum.data").joinpath(name).read_text()
+
+
+def _parse_row(parts: list[str], lineno: int) -> KnotTableEntry:
+    if len(parts) != 10:
+        raise TableError(f"line {lineno}: expected 10 fields, got {len(parts)}")
+    name, crossings, strands, word, u, usource, sigma, det, genus, alex = parts
     try:
         letters = tuple(int(v) for v in word.split(","))
         braid = BraidWord(int(strands), letters)
@@ -70,7 +79,6 @@ def _parse_row(line: str, lineno: int) -> KnotTableEntry:
             word=braid,
             unknotting_number=int(u),
             unknotting_source=usource,
-            nakanishi_index=None if e == "-" else int(e),
             profile=cached,
         )
     except (ValueError, TypeError) as exc:
@@ -134,13 +142,7 @@ def _validate(entries: list[KnotTableEntry]) -> dict[tuple, str]:
 
 @functools.lru_cache(maxsize=1)
 def _load() -> tuple[Mapping[str, KnotTableEntry], Mapping[tuple, str]]:
-    text = resources.files(_DATA_PACKAGE).joinpath(_TABLE_FILE).read_text()
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        entries.append(_parse_row(line, lineno))
+    entries = [_parse_row(parts, lineno) for lineno, parts in records(shipped_text("knots.txt"))]
     if not entries:
         raise TableError("table file holds no entries")
     return {e.name: e for e in entries}, _validate(entries)

@@ -71,6 +71,11 @@ def test_loader_rejects_malformed_records(tmp_path):
         "pair 3_1 4_1 d_bt 1 src\npair 4_1 3_1 d_bt 1 src\n",
         "wat 1 2 3\n",
         "knot 3_1 -1 -\n",
+        "knot 3_1#3_1 2 -\nknot 3_1#3_1 2 -\n",
+        "knot 3_1#3_1 two -\n",
+        "pair 3_1 4_1 d_bt 1\n",
+        "pair 3_1 4_1 d_bt one src\n",
+        "pair 3_1 4_1 d_bt -1 src\n",
     ):
         with pytest.raises(DistanceDataError):
             load_distance_data(_write(tmp_path, text))
@@ -84,6 +89,32 @@ def test_loader_accepts_composite_knot_records(tmp_path):
     data = load_distance_data(path)
     assert data.e_of("3_1#3_1") == 1
     assert data.pair_value("3_1#3_1", "4_1", "d_cb") == (2, "banded-diagram")
+
+
+def _entry(interval, name):
+    (entry,) = (e for e in interval.derivation if e.name == name)
+    return entry
+
+
+@pytest.mark.parametrize("text, triple, bound", [
+    ("knot 3_1#3_1 2 3\nknot 5_1 2 0\n", ("3_1", "3_1", "5_1"), "nakanishi_bound"),
+    ("knot 3_1 1 3\nknot 4_1 1 3\nknot 5_1 2 0\n", ("3_1", "4_1", "5_1"),
+     "nakanishi_summand_bound"),
+    ("pair 3_1#3_1 5_1 d_cb 4 src\n", ("3_1", "3_1", "5_1"), "curated_band_surgery_bound"),
+], ids=["nakanishi", "summand", "band-surgery"])
+def test_curated_lower_bounds_are_even(tmp_path, text, triple, bound):
+    # a Nakanishi gap of 3, plus 2, is evened up to 6; d_cb = 4, plus 2, is 6
+    iv = dm_interval(*triple, load_distance_data(_write(tmp_path, text)))
+    assert _entry(iv, bound).value == 6
+    assert iv.lower == 6
+    assert iv.upper is not None and iv.lower <= iv.upper
+
+
+def test_equal_nakanishi_indices_give_the_floor(tmp_path):
+    data = load_distance_data(_write(tmp_path, "knot 3_1#3_1 2 2\nknot 5_1 2 2\n"))
+    iv = dm_interval("3_1", "3_1", "5_1", data)
+    assert _entry(iv, "nakanishi_bound").value == 2
+    assert iv.upper is not None and iv.lower <= iv.upper
 
 
 def test_composite_name_is_order_free():

@@ -6,6 +6,7 @@ from knotsum.laurent import ZERO, LaurentPolynomial
 from knotsum.linalg import bareiss_determinant
 from knotsum.seifert import (
     SeifertMatrix,
+    _basis_loops,
     alexander_of_braid,
     canonical_surface_is_connected,
     seifert_matrix_of_braid,
@@ -93,6 +94,13 @@ def test_split_closures_have_zero_alexander():
 def test_dual_route_agreement_on_random_words():
     for w in random_knot_words(9241, 40) + random_braid_words(8120, 40):
         assert alexander_of_braid(w) == alexander_via_burau(w), w
+
+
+def test_basis_loops_are_sorted_by_index_then_position():
+    # seifert_matrix_of_braid fills only the (lower index, higher index) slot
+    for w in random_knot_words(9241, 40) + random_braid_words(8120, 40):
+        keys = [(loop.index, loop.first) for loop in _basis_loops(w)]
+        assert keys == sorted(keys), w
 
 
 def test_alexander_invariant_under_word_rotation():

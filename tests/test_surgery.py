@@ -30,13 +30,15 @@ from corpus import random_knot_words
 
 
 def test_twist_annulus_validation():
-    a = TwistAnnulus(full_twists=1, side=SIDE_POSITIVE)
+    a = TwistAnnulus(full_twists=1)
     assert a.gon_contribution == 4
     assert a.serialize()["side"] == SIDE_POSITIVE
+    # the side is the sign of the twist
+    for twists, side in ((1, SIDE_POSITIVE), (2, SIDE_POSITIVE),
+                         (-1, SIDE_NEGATIVE), (-2, SIDE_NEGATIVE)):
+        assert TwistAnnulus(full_twists=twists).side == side
     with pytest.raises(ValueError):
-        TwistAnnulus(full_twists=0, side=SIDE_POSITIVE)
-    with pytest.raises(ValueError):
-        TwistAnnulus(full_twists=1, side="sideways")
+        TwistAnnulus(full_twists=0)
 
 
 def test_walk_set_examples():
@@ -88,7 +90,9 @@ def test_apply_crossing_changes():
 
 
 def test_certificates():
-    assert unknot_certificate(BraidWord(2, (1, 1, 1)), from_walk=True) == CERT_DESCENDING
+    assert unknot_certificate(BraidWord(2, (1,)), from_walk=True) == CERT_DESCENDING
+    # a walk-built word is certified only when its invariants agree
+    assert unknot_certificate(BraidWord(2, (1, 1, 1)), from_walk=True) == CERT_INCONSISTENT
     assert unknot_certificate(BraidWord(2, (1,))) == CERT_CONSISTENT
     assert unknot_certificate(BraidWord(2, (1, 1, 1))) == CERT_INCONSISTENT
 

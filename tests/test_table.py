@@ -9,7 +9,15 @@ from knotsum import table as table_module
 from knotsum.braid import BraidWord
 from knotsum.profiles import profile_of_braid
 from knotsum.surgery import apply_crossing_changes
-from knotsum.table import TableError, _validate, load_table, lookup, match_profile
+from knotsum.table import (
+    TableError,
+    _parse_row,
+    _validate,
+    load_table,
+    lookup,
+    match_profile,
+    records,
+)
 
 
 def test_table_loads_and_validates():
@@ -41,6 +49,17 @@ def test_validation_refuses_each_bad_entry(entries, refusal):
     assert _validate([table["unknot"], table["5_2"]])  # good entries pass
     with pytest.raises(TableError, match=refusal):
         _validate(entries(table))
+
+
+def test_rows_parse_and_malformed_rows_name_their_line():
+    row = "3_1 3 2 1,1,1 1 tabulated -2 3 1 -1:1,0:-1,1:1"
+    ((lineno, parts),) = records(f"# header\n\n  {row}  \n")
+    assert lineno == 3
+    assert _parse_row(parts, lineno) == lookup("3_1")
+    with pytest.raises(TableError, match="line 3: expected 10 fields, got 11"):
+        _parse_row(parts + ["-"], 3)
+    with pytest.raises(TableError, match="line 4: "):
+        _parse_row(["3_1", "three"] + parts[2:], 4)
 
 
 def test_validation_builds_each_seifert_matrix_once(monkeypatch):
