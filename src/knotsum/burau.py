@@ -7,44 +7,48 @@ Burau matrices of its letters satisfies
 
 up to units, which the final normalization washes out. This route never
 looks at a Seifert surface, so it serves as the independent cross-check
-for the surface-based pipeline.
+for the surface-based pipeline. The product runs on ints at t = 2^B, as
+the determinant does, and is decoded once, by `linalg.balanced_digits`.
 """
 
 from __future__ import annotations
 
 from .braid import BraidWord
-from .laurent import ONE, T, ZERO, LaurentPolynomial, geometric_sum
-from .linalg import laurent_matrix_determinant
-
-
-def _identity(n: int) -> list[list[LaurentPolynomial]]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def _letter_column(
-    index: int, sign: int, strands: int
-) -> tuple[int, list[tuple[int, LaurentPolynomial]]]:
-    """Column i where a generator's matrix differs from the identity, and its nonzero entries."""
-    i = index - 1  # 0-based row/column of the generator's own coordinate
-    tinv = LaurentPolynomial.monomial(-1)
-    above, diagonal, below = (T, -T, ONE) if sign > 0 else (ONE, -tinv, tinv)
-    entries = ((i - 1, above), (i, diagonal), (i + 1, below))
-    return i, [(k, entry) for k, entry in entries if 0 <= k <= strands - 2]
+from .laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
+from .linalg import balanced_digits, laurent_matrix_determinant
 
 
 def reduced_burau(word: BraidWord) -> list[list[LaurentPolynomial]]:
     """Product of the letters' reduced Burau matrices, left to right.
 
-    A letter's matrix differs from the identity in its own column i only,
-    so each letter rewrites column i of the product and leaves the rest.
+    Letter v's matrix is the identity but in column i = |v| - 1, which holds
+    (t, -t, 1) for v > 0 and (1, -1/t, 1/t) for v < 0 in rows i - 1, i, i + 1.
+    Column j of the product is held as ints, its entries times t^-lo[j] at
+    t = 2^B, so a letter is at most three shifts and two adds per row.
+    bound[j] caps the l1 norm of column j's entries; with 2^(B-1) above
+    max(bound), each coefficient is one balanced base-2^B digit.
     """
-    n = word.strands
-    product = _identity(n - 1)
+    size = word.strands - 1
+    bound = [1] * size
     for v in word.letters:
-        i, column = _letter_column(abs(v), 1 if v > 0 else -1, n)
-        for row in product:
-            row[i] = sum((row[k] * entry for k, entry in column if row[k]), ZERO)
-    return product
+        i = abs(v) - 1
+        bound[i] = sum(bound[max(i - 1, 0) : i + 2])
+    bits = max(bound, default=1).bit_length() + 1
+    columns = [[int(r == j) for r in range(size)] for j in range(size)]
+    lo = [0] * size
+    for v in word.letters:
+        i = abs(v) - 1
+        # (column, power of t) read into column i: the diagonal first, then its sides
+        terms = [(k, e) for k, e in zip((i, i - 1, i + 1), (1, 1, 0) if v > 0 else (-1, 0, -1))
+                 if 0 <= k < size]
+        low = min(lo[k] + e for k, e in terms)
+        (diagonal, shift), *sides = [(columns[k], (lo[k] + e - low) * bits) for k, e in terms]
+        new = [-(x << shift) for x in diagonal]
+        for side, shift in sides:
+            new = [y + (x << shift) for y, x in zip(new, side)]
+        columns[i], lo[i] = new, low
+    return [[LaurentPolynomial.from_coeffs(low, balanced_digits(x, bits)) if x else ZERO
+             for low, x in zip(lo, row)] for row in zip(*columns)]
 
 
 def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:

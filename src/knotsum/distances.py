@@ -85,6 +85,8 @@ def _parse(text: str) -> DistanceData:
                 raise DistanceDataError(f"line {lineno}: {exc}") from exc
             if u < 0 or (e is not None and e < 0):
                 raise DistanceDataError(f"line {lineno}: negative value")
+            if e is not None and e > u:
+                raise DistanceDataError(f"line {lineno}: Nakanishi index {e} > u = {u}")
             knots[name] = KnotRecord(name, u, e)
         elif parts[0] == "pair":
             if len(parts) < 6:

@@ -13,12 +13,12 @@ plus O(n^2) zero tests (row ends, pivot columns), against O(n^3) dense.
 Polynomial determinants, of matrix pencils A + t*B and of matrices of
 Laurent polynomials, run the integer kernel once, at t = 2^B (Kronecker
 substitution). B comes from Hadamard's bound on the coefficients of the
-determinant, so the integer result holds them as base-2^B digits and
-decodes exactly, with no interpolation. Pencils are eliminated on a
-reverse Cuthill-McKee order (Cuthill & McKee 1969) that gives the sparse
-Seifert pencils a small bandwidth. Symmetric signatures come from integer
-congruence diagonalization. No floating point is used anywhere in the
-package.
+determinant, so the integer holds them as balanced base-2^B digits, which
+`balanced_digits`, the one decoder, reads back with no interpolation.
+Pencils are eliminated on a reverse Cuthill-McKee order (Cuthill & McKee
+1969) that gives the sparse Seifert pencils a small bandwidth. Symmetric
+signatures come from integer congruence diagonalization. No floating
+point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -97,6 +97,22 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * piv[n]
 
 
+def balanced_digits(value: int, bits: int) -> list[int]:
+    """Digits d_k in [-2^(bits-1), 2^(bits-1)), lowest first, of value = sum(d_k * 2^(bits*k))."""
+    if bits < 2:  # digits in [-1, 0) cannot spell a positive value
+        raise ValueError("balanced digits need at least 2 bits")
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    digits = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        digits.append(digit)
+        value = (value - digit) >> bits
+    return digits
+
+
 def _reverse_cuthill_mckee(pattern: list[list[int]]) -> list[int]:
     """Reverse Cuthill-McKee order of the graph with edges i - j for j in pattern[i].
 
@@ -143,8 +159,8 @@ def _kronecker_determinant(
     inequality gives |D(t)| <= C = prod_i sqrt(sum_j ||m_ij||_1^2), and each
     coefficient d_k of D is the average of D(t)*t^-k over that circle, so
     |d_k| <= C. With 2^(B-1) > C, D(2^B) from one integer Bareiss run
-    holds D's coefficients as balanced base-2^B digits, read back with
-    shifts and masks. D's degree is at most the sum of the row spans; a
+    holds D's coefficients as balanced base-2^B digits, read back by
+    `balanced_digits`. D's degree is at most the sum of the row spans; a
     value with more digits than that raises ArithmeticError.
     """
     row_lo: list = [None] * n
@@ -167,19 +183,9 @@ def _kronecker_determinant(
         for x in reversed(c):
             v = (v << bits) + x
         matrix[i][j] = v << ((lo - row_lo[i]) * bits)
-    value = bareiss_determinant(matrix)
-    span = sum(row_end) - sum(row_lo) - n
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    coeffs = []
-    while value:
-        if len(coeffs) > span:
-            raise ArithmeticError("determinant is wider than its rows allow")
-        digit = value & mask
-        if digit >= half:
-            digit -= mask + 1
-        coeffs.append(digit)
-        value = (value - digit) >> bits
+    coeffs = balanced_digits(bareiss_determinant(matrix), bits)
+    if len(coeffs) > sum(row_end) - sum(row_lo) - n + 1:
+        raise ArithmeticError("determinant is wider than its rows allow")
     return LaurentPolynomial.from_coeffs(sum(row_lo), coeffs)
 
 

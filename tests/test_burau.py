@@ -114,6 +114,20 @@ def test_column_updates_equal_the_dense_product():
             assert reduced_burau(word) == _dense_product(word), word
 
 
+@pytest.mark.parametrize("k, width", [(10, 11), (20, 24), (40, 52)])
+def test_packed_product_is_exact_on_wide_coefficients(k, width):
+    # (s1 s2^-1)^k has coefficients of `width` bits; the packed product
+    # must decode every one of them exactly
+    word = BraidWord(3, (1, -2) * k)
+    product = reduced_burau(word)
+    assert product == _dense_product(word)
+    assert max(abs(c).bit_length() for row in product for p in row for c in p.coeffs) == width
+
+
+def test_reduced_burau_on_one_strand_is_empty():
+    assert reduced_burau(BraidWord(1, ())) == []
+
+
 def _wide_knot_word(rng, strands):
     # every generator once, in any order and with any signs, closes to a
     # knot; inserted squares of generators leave the permutation alone

@@ -248,6 +248,21 @@ def test_data_file_override(tmp_path, capsys):
     assert run(capsys, "dm-bounds", "3_1", "3_1", "5_1", "--data", str(bad))[0] == 2
 
 
+def test_data_file_refuses_a_nakanishi_index_above_u(tmp_path, capsys):
+    # e <= u always; such a record used to reach the bounds and cross them
+    data = tmp_path / "d.txt"
+    data.write_text("knot 3_1#3_1 2 10\nknot 5_1 2 0\n")
+    code, out, err = run(capsys, "dm-bounds", "3_1", "3_1", "5_1", "--data", str(data))
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: Nakanishi index 10 > u = 2\n"
+
+
+def test_concat_refuses_a_non_digit_shuffle(capsys):
+    code, out, err = run(capsys, "concat", "1 1", "1", "--shuffle", "1x0")
+    assert (code, out) == (2, "")
+    assert err == "error: shuffle must be a 0/1 string, got '1x0'\n"
+
+
 def _help_paths(commands=COMMANDS, prefix=()):
     # every parser the command table builds, groups included
     for name, (handler, _, _) in commands.items():

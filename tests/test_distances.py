@@ -76,6 +76,7 @@ def test_loader_rejects_malformed_records(tmp_path):
         "pair 3_1 4_1 d_bt 1\n",
         "pair 3_1 4_1 d_bt one src\n",
         "pair 3_1 4_1 d_bt -1 src\n",
+        "knot 3_1 1 2\n",
     ):
         with pytest.raises(DistanceDataError):
             load_distance_data(_write(tmp_path, text))
@@ -97,8 +98,8 @@ def _entry(interval, name):
 
 
 @pytest.mark.parametrize("text, triple, bound", [
-    ("knot 3_1#3_1 2 3\nknot 5_1 2 0\n", ("3_1", "3_1", "5_1"), "nakanishi_bound"),
-    ("knot 3_1 1 3\nknot 4_1 1 3\nknot 5_1 2 0\n", ("3_1", "4_1", "5_1"),
+    ("knot 3_1#3_1 2 0\nknot 7_1 3 3\n", ("3_1", "3_1", "7_1"), "nakanishi_bound"),
+    ("knot 3_1 1 1\nknot 7_1 3 3\nknot 5_1 2 0\n", ("3_1", "7_1", "5_1"),
      "nakanishi_summand_bound"),
     ("pair 3_1#3_1 5_1 d_cb 4 src\n", ("3_1", "3_1", "5_1"), "curated_band_surgery_bound"),
 ], ids=["nakanishi", "summand", "band-surgery"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from knotsum import linalg
 from knotsum.laurent import ONE, T, ZERO, LaurentPolynomial
 from knotsum.linalg import (
+    balanced_digits,
     bareiss_determinant,
     laurent_matrix_determinant,
     pencil_determinant,
@@ -17,7 +18,8 @@ from knotsum.linalg import (
 def _cofactor_det(m, one=1):
     # reference: Laplace expansion down the rows, memoized on the set of
     # columns the rows above have used; it needs only +, -, * and truth, so
-    # it checks the kernel over Z[t, t^-1] as well as over Z
+    # it checks bareiss_determinant over Z and, given Laurent entries and
+    # one=ONE, laurent_matrix_determinant and pencil_determinant
     n = len(m)
     memo = {(1 << n) - 1: one}
 
@@ -101,6 +103,28 @@ def test_kronecker_rejects_a_determinant_wider_than_its_rows(monkeypatch):
     assert pencil_determinant([[1]], [[0]]) == T
     with pytest.raises(ArithmeticError):
         pencil_determinant([[1]], [[0]])
+
+
+@pytest.mark.parametrize("bits", [2, 8, 61])
+def test_balanced_digits_round_trip(bits):
+    # digits in [-2^(B-1), 2^(B-1)), the lowest digit and a leading negative
+    # digit included, come back from sum(d_k * 2^(B*k)) exactly
+    rng = random.Random(bits)
+    half = 1 << (bits - 1)
+    cases = [[-half], [half - 1], [1, -half], [-half, 0, -1], [half - 1, -half, half - 1]]
+    for _ in range(300):
+        digits = [rng.randrange(-half, half) for _ in range(rng.randint(1, 12))]
+        cases.append(digits[:-1] + [digits[-1] or -half])  # no leading zero
+    for digits in cases:
+        value = sum(d << (bits * k) for k, d in enumerate(digits))
+        assert balanced_digits(value, bits) == digits, (bits, digits)
+    assert balanced_digits(0, bits) == []
+
+
+def test_balanced_digits_refuse_one_bit():
+    # digits in [-1, 0) cannot spell 1; the loop would never end
+    with pytest.raises(ValueError):
+        balanced_digits(1, 1)
 
 
 def _random_matrix(rng, n, density, lo=-4, hi=4):
@@ -343,6 +367,8 @@ def test_symmetric_signature_examples():
     # only the first n columns used to be read, giving 1
     with pytest.raises(ValueError, match="square"):
         symmetric_signature([[1, 5]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetric_signature([[1, 2], [3, 1]])
 
 
 @given(st.integers(1, 4).flatmap(square_matrices))
