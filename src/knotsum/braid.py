@@ -38,16 +38,17 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        """Refuses a zero letter first, then a letter out of range, then a
+        strand count below 1; parse_braid's errors are these."""
+        if 0 in self.letters:
+            raise BraidSyntaxError("braid letter 0 is not allowed")
+        for letter in self.letters:
+            if abs(letter) >= self.strands:
+                raise BraidSyntaxError(
+                    f"letter {letter} exceeds the declared strand count {self.strands}"
+                )
         if self.strands < 1:
             raise BraidSyntaxError("strand count must be at least 1")
-        for letter in self.letters:
-            if letter == 0:
-                raise BraidSyntaxError("letter 0 is not a generator")
-            if abs(letter) > self.strands - 1:
-                raise BraidSyntaxError(
-                    f"letter {letter} needs at least {abs(letter) + 1} strands, "
-                    f"word has {self.strands}"
-                )
 
     def __str__(self) -> str:
         return format_braid(self)
@@ -121,23 +122,14 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     lives on 1 strand, otherwise on the requested number. The default
     strand count is one more than the largest index mentioned.
     """
-    tokens = text.split()
     letters = []
-    for tok in tokens:
+    for tok in text.split():
         try:
-            v = int(tok)
+            letters.append(int(tok))
         except ValueError as exc:
             raise BraidSyntaxError(f"bad braid letter {tok!r}") from exc
-        if v == 0:
-            raise BraidSyntaxError("braid letter 0 is not allowed")
-        letters.append(v)
     if strands is None:
-        strands = max((abs(v) for v in letters), default=0) + 1
-    for v in letters:
-        if abs(v) > strands - 1:
-            raise BraidSyntaxError(
-                f"letter {v} exceeds the declared strand count {strands}"
-            )
+        strands = max(map(abs, letters), default=0) + 1
     return BraidWord(strands, tuple(letters))
 
 

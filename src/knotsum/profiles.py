@@ -40,8 +40,15 @@ class InvariantProfile:
         return self.components == 1
 
     def fingerprint(self) -> tuple[LaurentPolynomial, int, int, int]:
-        """Chirality-blind key: mirroring flips the signature sign only."""
-        return (self.alexander, abs(self.signature), self.determinant, self.components)
+        """The identification key: (normalized Alexander polynomial,
+        |signature|, determinant, components).
+
+        Chirality-blind: mirroring flips the signature sign, and the
+        normalized polynomial is fixed under t -> 1/t up to units.
+        """
+        return (
+            self.alexander.normalized(), abs(self.signature), self.determinant, self.components
+        )
 
     def link_key(self) -> tuple[LaurentPolynomial, int, int, int]:
         """Boundary-link invariants only; drops the surface genus bound.
@@ -109,6 +116,22 @@ class BraidInvariants:
             return LaurentPolynomial()
         return self.matrix.alexander()
 
+    def matches(self, key: tuple[LaurentPolynomial, int, int, int]) -> bool:
+        """Whether the closure has this knot fingerprint() key.
+
+        Checks components, then |det(V + V^T)|, then |signature|, then the
+        Alexander polynomial, and stops at the first miss, so no invariant
+        past it is computed. The key must be a knot's: for a knot,
+        |det(V + V^T)| is the determinant |alexander(-1)|.
+        """
+        alexander, signature, determinant, components = key
+        return (
+            self.components == components
+            and self.determinant == determinant
+            and abs(self.signature) == signature
+            and self.alexander == alexander
+        )
+
     def profile(self, word: BraidWord) -> InvariantProfile:
         """Profile of a word of this record's class, built once per word.
 
@@ -160,9 +183,5 @@ def identify(p: InvariantProfile) -> list[str]:
     return match_profile(p)
 
 
+# The unknot's fingerprint(): necessary conditions only, no unknot detection claim.
 UNKNOT_PROFILE_KEY = (LaurentPolynomial.constant(1), 0, 1, 1)
-
-
-def is_unknot_consistent(p: InvariantProfile) -> bool:
-    """Necessary conditions only; no unknot detection claim."""
-    return p.fingerprint() == UNKNOT_PROFILE_KEY

@@ -24,12 +24,7 @@ from .braid import (
     conjugacy_key,
     split_braid,
 )
-from .profiles import (
-    BraidInvariants,
-    InvariantProfile,
-    is_unknot_consistent,
-    profile_of_braid,
-)
+from .profiles import UNKNOT_PROFILE_KEY, BraidInvariants, InvariantProfile
 from .table import load_table, lookup, match_profile
 
 SIDE_POSITIVE = "positive"
@@ -147,7 +142,7 @@ def unknot_certificate(word: BraidWord, from_walk: bool = False) -> str:
     are monotone diagrams and therefore genuinely unknots; such a word is
     certified only when its invariants agree.
     """
-    if not is_unknot_consistent(profile_of_braid(word)):
+    if not BraidInvariants(word).matches(UNKNOT_PROFILE_KEY):
         return CERT_INCONSISTENT
     return CERT_DESCENDING if from_walk else CERT_CONSISTENT
 
@@ -213,21 +208,6 @@ class ClassMemo:
         return invariants
 
 
-def _identify_as(
-    word: BraidWord, expected: str, memo: ClassMemo
-) -> InvariantProfile | str:
-    """Profile when the closure matches the expected name, else a reason."""
-    invariants = memo.of(word.strands, word.letters)
-    if invariants.components != 1:
-        return f"closure has {invariants.components} components"
-    profile = invariants.profile(word)
-    names = match_profile(profile)
-    if expected not in names:
-        found = ", ".join(names) if names else "no table knot"
-        return f"closure identifies as {found}, expected {expected}"
-    return profile
-
-
 def verify_triple(
     word: BraidWord, k: int, expected: tuple[str, str, str],
     *, _memo: ClassMemo | None = None,
@@ -249,22 +229,24 @@ def verify_triple(
     except SplitIndexError as exc:
         return TripleFailure("split", str(exc))
 
-    outcome_outer = _identify_as(outer, expected[0], memo)
-    if isinstance(outcome_outer, str):
-        return TripleFailure("outer split", outcome_outer)
-    outcome_inner = _identify_as(inner, expected[1], memo)
-    if isinstance(outcome_inner, str):
-        return TripleFailure("inner split", outcome_inner)
-    outcome_composite = _identify_as(word, expected[2], memo)
-    if isinstance(outcome_composite, str):
-        return TripleFailure("composite", outcome_composite)
+    profiles = []
+    stages = ("outer split", "inner split", "composite")
+    for stage, part, name in zip(stages, (outer, inner, word), expected):
+        invariants = memo.of(part.strands, part.letters)
+        if invariants.matches(table[name].profile.fingerprint()):
+            profiles.append(invariants.profile(part))
+        elif invariants.components != 1:
+            return TripleFailure(stage, f"closure has {invariants.components} components")
+        else:
+            found = ", ".join(match_profile(invariants.profile(part))) or "no table knot"
+            return TripleFailure(stage, f"closure identifies as {found}, expected {name}")
 
     return TripleWitness(
         composite=CompositeBraid(word=word, split_index=k),
         outer_word=outer,
         inner_word=inner,
         names=expected,
-        profiles=(outcome_outer, outcome_inner, outcome_composite),
+        profiles=tuple(profiles),
     )
 
 
@@ -332,21 +314,15 @@ def _knot_letters(strands: int, length: int) -> Iterator[tuple[int, ...]]:
 def _pool(name: str, strands: int, length: int, memo: ClassMemo) -> list[BraidWord]:
     """Words of `length` letters on `strands` strands whose closure is `name`.
 
-    Cheapest check first, each read through the class memo: determinant,
-    then signature, then the Alexander polynomial inside match_profile.
+    Each knot word's class record is checked against the name's
+    fingerprint by BraidInvariants.matches, cheapest invariant first.
     """
-    target = lookup(name).profile
-    pool = []
-    for letters in _knot_letters(strands, length):
-        invariants = memo.of(strands, letters)
-        if invariants.determinant != target.determinant:
-            continue
-        if abs(invariants.signature) != abs(target.signature):
-            continue
-        word = BraidWord(strands, letters)
-        if name in match_profile(invariants.profile(word)):
-            pool.append(word)
-    return pool
+    key = lookup(name).profile.fingerprint()
+    return [
+        BraidWord(strands, letters)
+        for letters in _knot_letters(strands, length)
+        if memo.of(strands, letters).matches(key)
+    ]
 
 
 def _shuffles(total: int, outer_letters: int, limit: int) -> list[Callable]:
@@ -382,8 +358,8 @@ def search_triples(
     closure, and so every invariant, is fixed on a class. Only the genus
     bound is computed per word. Pools hold knot words only, enumerated
     with their strand permutation, so a link closure is never built. A
-    composite whose class is not a knot, or whose |det(V + V^T)| differs
-    from the third target's, is dropped before its word is built; every
+    composite whose class record fails BraidInvariants.matches against the
+    third target's fingerprint is dropped before its word is built; every
     other one goes through verify_triple. Composites run in tiers of equal
     total length, shortest first, so `limit` stops after the first tier
     that reaches it with the same answer as the full list cut to `limit`.
@@ -394,7 +370,7 @@ def search_triples(
     name1, name2, name3 = target
     for name in target:
         lookup(name)
-    determinant3 = lookup(name3).profile.determinant
+    key3 = lookup(name3).profile.fingerprint()
 
     memo = ClassMemo()
     pools: dict[tuple[str, int, int], list[BraidWord]] = {}
@@ -429,10 +405,7 @@ def search_triples(
                         both = w1.letters + w2_letters
                         for shuffle in shuffles:
                             letters = shuffle(both)
-                            invariants = memo.of(strands, letters)
-                            if invariants.components != 1:
-                                continue
-                            if invariants.determinant != determinant3:
+                            if not memo.of(strands, letters).matches(key3):
                                 continue
                             outcome = verify_triple(
                                 BraidWord(strands, letters), k, target, _memo=memo

@@ -89,12 +89,7 @@ def _single_flip_unknots(word: BraidWord) -> bool:
     for i in range(len(word.letters)):
         letters = list(word.letters)
         letters[i] = -letters[i]
-        flipped = BraidWord(word.strands, tuple(letters))
-        invariants = BraidInvariants(flipped)
-        # |det(V + V^T)| = |alexander(-1)|, which is 1 for the unknot
-        if invariants.determinant != 1:
-            continue
-        if invariants.profile(flipped).fingerprint() == UNKNOT_PROFILE_KEY:
+        if BraidInvariants(BraidWord(word.strands, tuple(letters))).matches(UNKNOT_PROFILE_KEY):
             return True
     return False
 
@@ -164,13 +159,11 @@ def lookup(name: str) -> KnotTableEntry:
 def match_profile(profile: InvariantProfile) -> list[str]:
     """Table names whose invariants match, ignoring chirality.
 
-    One lookup in the fingerprint index that load-time validation builds:
-    the key is (normalized Alexander polynomial, |signature|, determinant,
-    1). Table polynomials are symmetric and normalized, so this matches
-    the Alexander polynomial up to units and the t -> 1/t flip. Table
-    fingerprints are unique, so at most one name comes back; none is a
-    valid answer.
+    One lookup of profile.fingerprint() in the index that load-time
+    validation builds, so the Alexander polynomial matches up to units and
+    the t -> 1/t flip. A link's polynomial vanishes at t = 1 and no knot's
+    does, so a link profile matches no name. Table fingerprints are
+    unique, so at most one name comes back; none is a valid answer.
     """
-    key = (profile.alexander.normalized(), abs(profile.signature), profile.determinant, 1)
-    name = _load()[1].get(key)
+    name = _load()[1].get(profile.fingerprint())
     return [name] if name else []

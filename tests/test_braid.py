@@ -23,12 +23,17 @@ from corpus import random_braid_words
 
 
 def test_word_validation():
-    with pytest.raises(BraidSyntaxError):
-        BraidWord(0, ())
-    with pytest.raises(BraidSyntaxError):
-        BraidWord(2, (0,))
-    with pytest.raises(BraidSyntaxError):
-        BraidWord(2, (2,))
+    for strands, letters, message in [
+        (0, (), "strand count must be at least 1"),
+        (2, (0,), "braid letter 0 is not allowed"),
+        (2, (2,), "letter 2 exceeds the declared strand count 2"),
+        # any zero first, then the range, then the strand count
+        (2, (5, 0), "braid letter 0 is not allowed"),
+        (0, (1,), "letter 1 exceeds the declared strand count 0"),
+    ]:
+        with pytest.raises(BraidSyntaxError) as err:
+            BraidWord(strands, letters)
+        assert str(err.value) == message
     assert BraidWord(1, ()).strands == 1
     assert len(BraidWord(3, (1, -2))) == 2
 

@@ -233,6 +233,16 @@ def test_error_messages_name_the_problem(capsys):
     for words in (("1 1 1", ""), ("", "1 1 1")):
         code, _, err = run(capsys, "concat", *words)
         assert code == 2 and "1 strand" in err
+    # a braid's letters are checked zero first, then range, then strand count
+    for args, message in [
+        (("1 0 1",), "braid letter 0 is not allowed"),
+        (("5 0", "--strands", "2"), "braid letter 0 is not allowed"),
+        (("3", "--strands", "2"), "letter 3 exceeds the declared strand count 2"),
+        (("1", "--strands", "0"), "letter 1 exceeds the declared strand count 0"),
+        (("", "--strands", "0"), "strand count must be at least 1"),
+        (("x 0",), "bad braid letter 'x'"),
+    ]:
+        assert run(capsys, "invariants", *args) == (2, "", f"error: {message}\n")
 
 
 def test_data_file_override(tmp_path, capsys):

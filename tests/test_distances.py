@@ -7,6 +7,7 @@ from knotsum.distances import (
     STATUS_DISTINCT,
     STATUS_EQUAL,
     STATUS_UNDETERMINED,
+    DistanceData,
     DistanceDataError,
     DMInterval,
     composite_name,
@@ -15,7 +16,8 @@ from knotsum.distances import (
     load_distance_data,
     plan_triple_sum,
 )
-from knotsum.profiles import profile_of_braid
+from knotsum.profiles import profile_of_braid, profile_of_seifert_matrix
+from knotsum.seifert import seifert_matrix_of_plumbing
 from knotsum.table import load_table
 
 
@@ -193,6 +195,26 @@ def test_profile_inputs_give_lower_bound_only():
     assert interval.lower == 4
     assert interval.upper is None
     assert any("needs table names" in e.inputs for e in interval.derivation)
+
+
+def test_odd_signature_bound_is_evened_up():
+    hopf = profile_of_seifert_matrix(seifert_matrix_of_plumbing([2]))
+    assert hopf.signature == -1
+    bound = dm_interval(hopf, "unknot", "unknot").derivation[0]
+    assert bound.name == "signature_bound" and bound.value == 4
+    assert bound.inputs == "|(-1) + (0) - (0)| + 2, evened up"
+
+
+def test_no_distance_data_leaves_the_upper_bound_unknown():
+    empty = DistanceData(knots={}, pairs={})
+    interval = dm_interval("3_1", "4_1", "5_2", data=empty)
+    assert [e.inputs for e in interval.derivation if e.name == "band_twist_bound"] == [
+        "K1 to K3, K2 to unknot: no distance estimate",
+        "K2 to K3, K1 to unknot: no distance estimate",
+    ]
+    assert interval.upper is None
+    with pytest.raises(DistanceDataError, match="no band-twist estimates"):
+        plan_triple_sum("3_1", "4_1", "5_2", data=empty)
 
 
 def test_curated_pairs_tighten_the_upper_bound(tmp_path):

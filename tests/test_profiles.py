@@ -6,13 +6,14 @@ from knotsum.laurent import LaurentPolynomial
 from knotsum.plumbing import PlumbingWord, boundary_profile
 from knotsum.profiles import (
     UNKNOT_PROFILE_KEY,
+    BraidInvariants,
     InvariantProfile,
     identify,
-    is_unknot_consistent,
     profile_of_braid,
     profile_of_seifert_matrix,
 )
 from knotsum.seifert import seifert_matrix_of_plumbing
+from knotsum.table import lookup
 
 from corpus import random_knot_words
 
@@ -51,9 +52,8 @@ def test_profile_of_trefoil_braid():
 def test_trivial_braid_profile_is_the_unknot_key():
     p = profile_of_braid(BraidWord(1, ()))
     assert p.fingerprint() == UNKNOT_PROFILE_KEY
-    assert is_unknot_consistent(p)
-    assert is_unknot_consistent(profile_of_braid(BraidWord(2, (1,))))
-    assert not is_unknot_consistent(profile_of_braid(BraidWord(2, (1, 1, 1))))
+    assert profile_of_braid(BraidWord(2, (1,))).fingerprint() == UNKNOT_PROFILE_KEY
+    assert profile_of_braid(BraidWord(2, (1, 1, 1))).fingerprint() != UNKNOT_PROFILE_KEY
 
 
 def test_fingerprint_is_chirality_blind_link_key_is_not():
@@ -62,6 +62,24 @@ def test_fingerprint_is_chirality_blind_link_key_is_not():
     q = profile_of_braid(BraidWord(w.strands, tuple(-v for v in w.letters)))  # the mirror
     assert p.fingerprint() == q.fingerprint()
     assert p.link_key() != q.link_key()
+
+
+def test_matches_stops_at_the_first_miss():
+    figure_eight = lookup("4_1").profile.fingerprint()
+    # 5_1 shares the determinant 5 with 4_1; |signature| 4 against 0 ends it
+    cinquefoil = BraidInvariants(BraidWord(2, (1,) * 5))
+    assert not cinquefoil.matches(figure_eight)
+    assert "signature" in vars(cinquefoil) and "alexander" not in vars(cinquefoil)
+    # determinant 3 against 5: neither later invariant is computed
+    trefoil = BraidInvariants(BraidWord(2, (1, 1, 1)))
+    assert not trefoil.matches(figure_eight)
+    assert "signature" not in vars(trefoil) and "alexander" not in vars(trefoil)
+    assert trefoil.matches(lookup("3_1").profile.fingerprint())
+    assert BraidInvariants(BraidWord(2, (-1, -1, -1))).matches(lookup("3_1").profile.fingerprint())
+    # a link misses on components before its Seifert matrix is built
+    hopf = BraidInvariants(BraidWord(2, (1, 1)))
+    assert not hopf.matches(UNKNOT_PROFILE_KEY)
+    assert "matrix" not in vars(hopf)
 
 
 def test_split_closure_profile():

@@ -7,7 +7,7 @@ import pytest
 
 from knotsum import profiles, surgery
 from knotsum.braid import BraidWord, closure_data, conjugacy_key, murasugi_concat, split_braid
-from knotsum.profiles import canonical_genus_bound, is_unknot_consistent, profile_of_braid
+from knotsum.profiles import UNKNOT_PROFILE_KEY, canonical_genus_bound, profile_of_braid
 from knotsum.table import match_profile
 from knotsum.surgery import (
     CERT_CONSISTENT,
@@ -58,7 +58,7 @@ def test_flipping_the_walk_set_unknots():
     for word in random_knot_words(140, 50):
         positions = unknotting_crossing_set(word)
         flipped = apply_crossing_changes(word, positions).word
-        assert is_unknot_consistent(profile_of_braid(flipped)), word
+        assert profile_of_braid(flipped).fingerprint() == UNKNOT_PROFILE_KEY, word
 
 
 def test_walk_set_size_is_at_most_half_the_letters():
@@ -72,7 +72,7 @@ def test_every_basepoint_gives_an_unknotting_set():
     for basepoint in range(1, word.strands + 1):
         positions = unknotting_crossing_set(word, basepoint=basepoint)
         flipped = apply_crossing_changes(word, positions).word
-        assert is_unknot_consistent(profile_of_braid(flipped))
+        assert profile_of_braid(flipped).fingerprint() == UNKNOT_PROFILE_KEY
 
 
 def test_apply_crossing_changes():
@@ -216,6 +216,15 @@ def test_search_triples_builds_each_pool_once(monkeypatch):
         ("unknot", 2),
         ("unknot", 3),
     ]
+
+
+def test_pool_rejects_on_signature():
+    # 5-letter knot words on 2 strands close to 5_1 (determinant 5, as 4_1's),
+    # 3_1 or the unknot; the 5_1 class fails only on |signature|
+    memo = surgery.ClassMemo()
+    assert surgery._pool("4_1", 2, 5, memo) == []
+    assert any(vars(record).get("determinant") == 5 for record in memo._classes.values())
+    assert surgery._pool("5_1", 2, 5, memo) == [BraidWord(2, (-1,) * 5), BraidWord(2, (1,) * 5)]
 
 
 def test_search_triples_profiles_each_word_once(monkeypatch):

@@ -7,7 +7,7 @@ from corpus import random_knot_words
 from knotsum import profiles, seifert
 from knotsum import table as table_module
 from knotsum.braid import BraidWord
-from knotsum.profiles import profile_of_braid
+from knotsum.profiles import UNKNOT_PROFILE_KEY, profile_of_braid
 from knotsum.surgery import apply_crossing_changes
 from knotsum.table import (
     TableError,
@@ -49,6 +49,16 @@ def test_validation_refuses_each_bad_entry(entries, refusal):
     assert _validate([table["unknot"], table["5_2"]])  # good entries pass
     with pytest.raises(TableError, match=refusal):
         _validate(entries(table))
+
+
+def test_empty_table_file_is_refused(monkeypatch):
+    monkeypatch.setattr(table_module, "shipped_text", lambda name: "# no rows\n")
+    table_module._load.cache_clear()
+    try:
+        with pytest.raises(TableError, match="table file holds no entries"):
+            load_table()
+    finally:
+        table_module._load.cache_clear()
 
 
 def test_rows_parse_and_malformed_rows_name_their_line():
@@ -117,8 +127,6 @@ def test_unknotting_number_respects_signature_bound():
 
 def test_single_crossing_change_witnesses_for_u1_knots():
     # every u = 1 entry admits a one-flip unknotting somewhere in its word
-    from knotsum.profiles import is_unknot_consistent
-
     u1_names = []
     for entry in load_table().values():
         if entry.unknotting_number != 1:
@@ -129,7 +137,7 @@ def test_single_crossing_change_witnesses_for_u1_knots():
             for pos in range(len(entry.word.letters))
         )
         assert any(
-            is_unknot_consistent(profile_of_braid(w)) for w in flips
+            profile_of_braid(w).fingerprint() == UNKNOT_PROFILE_KEY for w in flips
         ), entry.name
     assert len(u1_names) == 9
 
@@ -137,11 +145,9 @@ def test_single_crossing_change_witnesses_for_u1_knots():
 def test_u2_words_have_no_single_flip_witness():
     for name in ("5_1", "7_4"):
         entry = lookup(name)
-        from knotsum.profiles import is_unknot_consistent
-
         for pos in range(len(entry.word.letters)):
             flipped = apply_crossing_changes(entry.word, [pos]).word
-            assert not is_unknot_consistent(profile_of_braid(flipped))
+            assert profile_of_braid(flipped).fingerprint() != UNKNOT_PROFILE_KEY
 
 
 def test_match_profile_is_chirality_blind():
