@@ -101,7 +101,9 @@ class BraidInvariants:
 
     @cached_property
     def determinant(self) -> int:
-        """|det(V + V^T)|, the link determinant when the closure is a knot."""
+        """|alexander(-1)|: |det(V + V^T)|, or zero for a split closure."""
+        if not canonical_surface_is_connected(self.word):
+            return 0
         return self.matrix.determinant_invariant()
 
     @cached_property
@@ -117,12 +119,11 @@ class BraidInvariants:
         return self.matrix.alexander()
 
     def matches(self, key: tuple[LaurentPolynomial, int, int, int]) -> bool:
-        """Whether the closure has this knot fingerprint() key.
+        """Whether the closure has this fingerprint() key.
 
-        Checks components, then |det(V + V^T)|, then |signature|, then the
+        Checks components, then the determinant, then |signature|, then the
         Alexander polynomial, and stops at the first miss, so no invariant
-        past it is computed. The key must be a knot's: for a knot,
-        |det(V + V^T)| is the determinant |alexander(-1)|.
+        past it is computed.
         """
         alexander, signature, determinant, components = key
         return (

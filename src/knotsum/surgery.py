@@ -11,6 +11,7 @@ is returned and the selection never exceeds half the letters (rounded up).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields
 from operator import itemgetter
@@ -209,16 +210,15 @@ class ClassMemo:
 
 
 def verify_triple(
-    word: BraidWord, k: int, expected: tuple[str, str, str],
-    *, _memo: ClassMemo | None = None,
+    word: BraidWord, k: int, expected: tuple[str, str, str]
 ) -> TripleWitness | TripleFailure:
     """Split at k and check all three closures against the expected names.
 
     Failures are reported as data, never raised. The first expected name
     is the outer split, the second the inner, the third the composite.
-    `_memo` is search_triples' class memo; a direct call gets a fresh one.
+    This is the check for a word from outside; search_triples builds its
+    witnesses from the checks its pools and prefilter already ran.
     """
-    memo = ClassMemo() if _memo is None else _memo
     table = load_table()
     for name in expected:
         if name not in table:
@@ -232,7 +232,7 @@ def verify_triple(
     profiles = []
     stages = ("outer split", "inner split", "composite")
     for stage, part, name in zip(stages, (outer, inner, word), expected):
-        invariants = memo.of(part.strands, part.letters)
+        invariants = BraidInvariants(part)
         if invariants.matches(table[name].profile.fingerprint()):
             profiles.append(invariants.profile(part))
         elif invariants.components != 1:
@@ -311,17 +311,20 @@ def _knot_letters(strands: int, length: int) -> Iterator[tuple[int, ...]]:
     yield from walk(0, strands - 1)
 
 
-def _pool(name: str, strands: int, length: int, memo: ClassMemo) -> list[BraidWord]:
-    """Words of `length` letters on `strands` strands whose closure is `name`.
+def _pool(
+    name: str, strands: int, length: int, memo: ClassMemo
+) -> list[tuple[BraidWord, BraidInvariants]]:
+    """(word, class record) for each word of `length` letters on `strands`
+    strands whose closure is `name`.
 
     Each knot word's class record is checked against the name's
     fingerprint by BraidInvariants.matches, cheapest invariant first.
     """
     key = lookup(name).profile.fingerprint()
     return [
-        BraidWord(strands, letters)
+        (BraidWord(strands, letters), record)
         for letters in _knot_letters(strands, length)
-        if memo.of(strands, letters).matches(key)
+        if (record := memo.of(strands, letters)).matches(key)
     ]
 
 
@@ -360,9 +363,10 @@ def search_triples(
     with their strand permutation, so a link closure is never built. A
     composite whose class record fails BraidInvariants.matches against the
     third target's fingerprint is dropped before its word is built; every
-    other one goes through verify_triple. Composites run in tiers of equal
-    total length, shortest first, so `limit` stops after the first tier
-    that reaches it with the same answer as the full list cut to `limit`.
+    other one is a witness, built from the records it and its parts matched.
+    Composites run in tiers of equal total length, shortest first, so
+    `limit` stops after the first tier that reaches it with the same answer
+    as the full list cut to `limit`.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -373,13 +377,7 @@ def search_triples(
     key3 = lookup(name3).profile.fingerprint()
 
     memo = ClassMemo()
-    pools: dict[tuple[str, int, int], list[BraidWord]] = {}
-
-    def pool(name: str, strands: int, length: int) -> list[BraidWord]:
-        key = (name, strands, length)
-        if key not in pools:
-            pools[key] = _pool(name, strands, length, memo)
-        return pools[key]
+    pool = functools.cache(functools.partial(_pool, memo=memo))
 
     strand_pairs = [  # the composite has s1 + s2 - 1 strands
         (s1, s2)
@@ -398,20 +396,20 @@ def search_triples(
                     continue
                 shuffles = _shuffles(total, outer_letters, budget.max_shuffles)
                 shifted = [
-                    tuple(v + k if v > 0 else v - k for v in w2.letters) for w2 in outer_pool
+                    tuple(v + k if v > 0 else v - k for v in w2.letters) for w2, _ in outer_pool
                 ]
-                for w1 in inner_pool:
-                    for w2_letters in shifted:
+                for w1, r1 in inner_pool:
+                    for (w2, r2), w2_letters in zip(outer_pool, shifted):
                         both = w1.letters + w2_letters
                         for shuffle in shuffles:
                             letters = shuffle(both)
-                            if not memo.of(strands, letters).matches(key3):
-                                continue
-                            outcome = verify_triple(
-                                BraidWord(strands, letters), k, target, _memo=memo
-                            )
-                            if isinstance(outcome, TripleWitness):
-                                tier.append(outcome)
+                            record = memo.of(strands, letters)
+                            if record.matches(key3):
+                                word = BraidWord(strands, letters)
+                                tier.append(TripleWitness(
+                                    CompositeBraid(word, k), w2, w1, target,
+                                    (r2.profile(w2), r1.profile(w1), record.profile(word)),
+                                ))
         tier.sort(
             key=lambda w: (
                 len(w.composite.word.letters),

@@ -54,6 +54,7 @@ def test_parse_and_format():
     assert parse_braid("") == BraidWord(1, ())
     assert parse_braid("", 4).strands == 4
     assert parse_braid("1", 5).strands == 5
+    assert str(BraidWord(3, (1, -2))) == "1 -2"
     with pytest.raises(BraidSyntaxError):
         parse_braid("1 x")
     with pytest.raises(BraidSyntaxError):

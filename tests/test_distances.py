@@ -195,6 +195,8 @@ def test_profile_inputs_give_lower_bound_only():
     assert interval.lower == 4
     assert interval.upper is None
     assert any("needs table names" in e.inputs for e in interval.derivation)
+    with pytest.raises(TypeError, match="expected knot name or profile, got int"):
+        dm_interval(3, "3_1", "3_1")
 
 
 def test_odd_signature_bound_is_evened_up():

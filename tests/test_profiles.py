@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from knotsum import profiles, seifert
@@ -87,6 +89,20 @@ def test_split_closure_profile():
     assert not p.alexander
     assert p.components == 2
     assert not p.is_knot
+    # the record's determinant is the profile's |alexander(-1)| = 0 too
+    assert BraidInvariants(BraidWord(3, (1, 1, 1))).determinant == 0
+    assert BraidInvariants(BraidWord(3, ())).determinant == 0
+
+
+def test_every_record_matches_its_own_fingerprint():
+    # links included: split closures (some generator unused) among them
+    rng = random.Random(5)
+    for _ in range(3000):
+        strands = rng.randint(2, 6)
+        alphabet = [s * i for i in range(1, strands) for s in (-1, 1)]
+        word = BraidWord(strands, tuple(rng.choices(alphabet, k=rng.randint(0, 12))))
+        record = BraidInvariants(word)
+        assert record.matches(record.profile(word).fingerprint()), word
 
 
 def test_genus_bound_examples():

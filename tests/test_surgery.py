@@ -224,7 +224,10 @@ def test_pool_rejects_on_signature():
     memo = surgery.ClassMemo()
     assert surgery._pool("4_1", 2, 5, memo) == []
     assert any(vars(record).get("determinant") == 5 for record in memo._classes.values())
-    assert surgery._pool("5_1", 2, 5, memo) == [BraidWord(2, (-1,) * 5), BraidWord(2, (1,) * 5)]
+    pool = surgery._pool("5_1", 2, 5, memo)
+    assert [word for word, _ in pool] == [BraidWord(2, (-1,) * 5), BraidWord(2, (1,) * 5)]
+    # each word comes with the class record it matched
+    assert all(record is memo.of(word.strands, word.letters) for word, record in pool)
 
 
 def test_search_triples_profiles_each_word_once(monkeypatch):
@@ -245,19 +248,22 @@ def test_search_triples_profiles_each_word_once(monkeypatch):
     assert max(seen.values()) == 1
 
 
-def test_search_triples_verifies_through_verify_triple(monkeypatch):
-    verdicts = []
-    verify = surgery.verify_triple
-
-    def counting(*args, **kwargs):
-        outcome = verify(*args, **kwargs)
-        verdicts.append(isinstance(outcome, TripleWitness))
-        return outcome
-
-    monkeypatch.setattr(surgery, "verify_triple", counting)
-    witnesses = search_triples(("unknot", "3_1", "3_1"), TripleBudget(max_total_letters=4))
-    assert witnesses
-    assert sum(verdicts) == len(witnesses)
+def test_search_witnesses_equal_verify_triple():
+    # the search builds each witness from its own checks; a fresh
+    # verify_triple of the same word gives the same words, split and profiles
+    witnesses = [
+        w
+        for target in (
+            ("unknot", "unknot", "3_1"),
+            ("unknot", "3_1", "3_1"),
+            ("unknot", "unknot", "4_1"),
+            ("3_1", "3_1", "5_1"),
+        )
+        for w in search_triples(target)
+    ]
+    assert len(witnesses) == 376
+    for w in witnesses:
+        assert verify_triple(w.composite.word, w.composite.split_index, w.names) == w
 
 
 @pytest.mark.parametrize(
