@@ -5,8 +5,9 @@ Murasugi sum of Seifert surfaces for K1 and K2. Nothing here computes it
 outright; instead, invariants push the value up from below (signature,
 connected-sum distinctness, curated band-surgery data) and explicit
 constructions press down from above (band-twist chains through curated
-distances or unknotting numbers). Every emitted number carries its
-derivation.
+distances or unknotting numbers). Both bounds are read off one ordered
+derivation that prints every emitted number with its inputs; each
+band-twist bound is the final gon of a GonPlan.
 
 Curated distances live in a plain-text data file; the shipped defaults
 record only facts witnessed elsewhere in the toolkit.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .profiles import InvariantProfile
 from .table import load_table, lookup, records, shipped_text
@@ -178,27 +179,23 @@ class DerivationEntry(NamedTuple):
         return {"name": self.name, "value": self.value, "inputs": self.inputs}
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    name: str | None
-    profile: InvariantProfile
-
-
-def _resolve(knot: str | InvariantProfile) -> _Resolved:
+def _resolve(knot: str | InvariantProfile) -> tuple[str | None, InvariantProfile]:
     if isinstance(knot, str):
-        return _Resolved(name=knot, profile=lookup(knot).profile)
+        return knot, lookup(knot).profile
     if isinstance(knot, InvariantProfile):
-        return _Resolved(name=None, profile=knot)
+        return None, knot
     raise TypeError(f"expected knot name or profile, got {type(knot).__name__}")
 
 
-def _sum_status(r1: _Resolved, r2: _Resolved, r3: _Resolved) -> tuple[str, str]:
-    if r1.name and r2.name and r3.name:
-        if r1.name == "unknot" and r3.name == r2.name:
-            return STATUS_EQUAL, f"{r3.name} = unknot # {r2.name}"
-        if r2.name == "unknot" and r3.name == r1.name:
-            return STATUS_EQUAL, f"{r3.name} = {r1.name} # unknot"
-    p1, p2, p3 = r1.profile, r2.profile, r3.profile
+def _sum_status(names: tuple[str, str, str] | None,
+                profiles: Sequence[InvariantProfile]) -> tuple[str, str]:
+    if names:
+        n1, n2, n3 = names
+        if n1 == "unknot" and n3 == n2:
+            return STATUS_EQUAL, f"{n3} = unknot # {n2}"
+        if n2 == "unknot" and n3 == n1:
+            return STATUS_EQUAL, f"{n3} = {n1} # unknot"
+    p1, p2, p3 = profiles
     if p3.signature != p1.signature + p2.signature:
         return STATUS_DISTINCT, "signature is not additive for this triple"
     if p3.determinant != p1.determinant * p2.determinant:
@@ -210,64 +207,6 @@ def _sum_status(r1: _Resolved, r2: _Resolved, r3: _Resolved) -> tuple[str, str]:
         STATUS_UNDETERMINED,
         "all invariant checks match; equality of K3 and K1 # K2 is beyond invariants",
     )
-
-
-def _values(derivation: list[DerivationEntry]) -> list[int]:
-    """The bound each derivation entry proves; status notes carry none."""
-    return [entry.value for entry in derivation if entry.value is not None]
-
-
-def _lower(r1: _Resolved, r2: _Resolved, r3: _Resolved,
-           data: DistanceData) -> tuple[int, str, tuple[DerivationEntry, ...]]:
-    s1, s2, s3 = (r.profile.signature for r in (r1, r2, r3))
-    derivation: list[DerivationEntry] = []
-    sig = abs(s1 + s2 - s3) + 2
-    if sig % 2:
-        sig += 1
-    derivation.append(DerivationEntry(
-        "signature_bound", sig, f"|({s1}) + ({s2}) - ({s3})| + 2, evened up"
-    ))
-
-    status, note = _sum_status(r1, r2, r3)
-    derivation.append(DerivationEntry("connected_sum_status", None, f"{status}: {note}"))
-    if status == STATUS_DISTINCT:
-        derivation.append(DerivationEntry(
-            "distinctness_bound", 4,
-            "K3 is not K1 # K2, so one coherent band is not enough: d_cb >= 2",
-        ))
-
-    if r1.name and r2.name and r3.name:
-        comp = composite_name(r1.name, r2.name)
-        curated = data.pair_value(comp, r3.name, KIND_COHERENT_BAND)
-        if curated:
-            value, source = curated
-            derivation.append(DerivationEntry(
-                "curated_band_surgery_bound", value + 2,
-                f"d_cb({comp}, {r3.name}) = {value} [{source}]",
-            ))
-        e3 = data.e_of(r3.name)
-        e_comp = data.e_of(comp)
-        if e_comp is not None and e3 is not None:
-            value = abs(e_comp - e3) + 2
-            derivation.append(DerivationEntry(
-                "nakanishi_bound", value + value % 2,
-                f"|e({comp}) - e({r3.name})| + 2 = |{e_comp} - {e3}| + 2, evened up",
-            ))
-        elif e3 is not None:
-            e1, e2 = data.e_of(r1.name), data.e_of(r2.name)
-            if e1 is not None and e2 is not None and max(e1, e2) > e3:
-                value = max(e1, e2) - e3 + 2
-                derivation.append(DerivationEntry(
-                    "nakanishi_summand_bound", value + value % 2,
-                    f"e({comp}) >= max({e1}, {e2}) conservatively; minus e={e3}, plus 2, "
-                    "evened up",
-                ))
-
-    derivation.append(DerivationEntry(
-        "split_link_bound", None,
-        "d_cb(K1 u K2, K3) + 1 is dominated by the connected-sum bound; not computed",
-    ))
-    return max(_values(derivation)), status, tuple(derivation)
 
 
 def _band_twist_estimate(data: DistanceData, a: str, b: str) -> tuple[int, str] | None:
@@ -286,46 +225,87 @@ def _band_twist_estimate(data: DistanceData, a: str, b: str) -> tuple[int, str] 
 
 
 def _score_roles(data: DistanceData, k1: str, k2: str, k3: str):
-    """Yield (twisted, trivialized, p, q, gon) for both role assignments.
-
-    p band twists send the twisted knot to K3 and q send the other to the
-    unknot; gon is 2(p + q + 1), or None when an estimate is missing.
+    """Yield (p estimate, q estimate, plan) for both role assignments; the
+    plan is None when either estimate is missing.
     """
     for twisted, trivialized in ((k1, k2), (k2, k1)):
         p = _band_twist_estimate(data, twisted, k3)
         q = _band_twist_estimate(data, trivialized, "unknot")
-        gon = None if p is None or q is None else 2 * (p[0] + q[0] + 1)
-        yield twisted, trivialized, p, q, gon
+        plan = None if p is None or q is None else GonPlan(
+            (k1, k2, k3), twisted, trivialized, p[0], q[0]
+        )
+        yield p, q, plan
 
 
-def _upper(r1: _Resolved, r2: _Resolved, r3: _Resolved, status: str,
-           data: DistanceData) -> tuple[int | None, tuple[DerivationEntry, ...]]:
-    derivation: list[DerivationEntry] = []
+# the entries that press d_M down; every other valued entry pushes it up
+_UPPER_BOUNDS = ("connected_sum_exact", "band_twist_bound", "coarse_unknotting_bound")
+
+
+def _derivation(names: tuple[str, str, str] | None, profiles: Sequence[InvariantProfile],
+                status: str, note: str, data: DistanceData) -> Iterator[DerivationEntry]:
+    """Yield every bound and note in print order: lower bounds, then upper."""
+    s1, s2, s3 = (profile.signature for profile in profiles)
+    sig = abs(s1 + s2 - s3) + 2
+    yield DerivationEntry(
+        "signature_bound", sig + sig % 2, f"|({s1}) + ({s2}) - ({s3})| + 2, evened up"
+    )
+    yield DerivationEntry("connected_sum_status", None, f"{status}: {note}")
+    if status == STATUS_DISTINCT:
+        yield DerivationEntry(
+            "distinctness_bound", 4,
+            "K3 is not K1 # K2, so one coherent band is not enough: d_cb >= 2",
+        )
+    if names:
+        k1, k2, k3 = names
+        comp = composite_name(k1, k2)
+        curated = data.pair_value(comp, k3, KIND_COHERENT_BAND)
+        if curated:
+            value, source = curated
+            yield DerivationEntry(
+                "curated_band_surgery_bound", value + 2,
+                f"d_cb({comp}, {k3}) = {value} [{source}]",
+            )
+        e3, e_comp = data.e_of(k3), data.e_of(comp)
+        if e_comp is not None and e3 is not None:
+            value = abs(e_comp - e3) + 2
+            yield DerivationEntry(
+                "nakanishi_bound", value + value % 2,
+                f"|e({comp}) - e({k3})| + 2 = |{e_comp} - {e3}| + 2, evened up",
+            )
+        elif e3 is not None:
+            e1, e2 = data.e_of(k1), data.e_of(k2)
+            if e1 is not None and e2 is not None and max(e1, e2) > e3:
+                value = max(e1, e2) - e3 + 2
+                yield DerivationEntry(
+                    "nakanishi_summand_bound", value + value % 2,
+                    f"e({comp}) >= max({e1}, {e2}) conservatively; minus e={e3}, plus 2, "
+                    "evened up",
+                )
+    yield DerivationEntry(
+        "split_link_bound", None,
+        "d_cb(K1 u K2, K3) + 1 is dominated by the connected-sum bound; not computed",
+    )
     if status == STATUS_EQUAL:
-        derivation.append(DerivationEntry(
-            "connected_sum_exact", 2, "K3 = K1 # K2, a 2-gon Murasugi sum"
-        ))
-    named = r1.name and r2.name and r3.name
-    roles = _score_roles(data, r1.name, r2.name, r3.name) if named else (None, None)
+        yield DerivationEntry("connected_sum_exact", 2, "K3 = K1 # K2, a 2-gon Murasugi sum")
+    roles = _score_roles(data, *names) if names else (None, None)
     for label, role in zip(("K1 to K3, K2 to unknot", "K2 to K3, K1 to unknot"), roles):
-        if role is None or role[4] is None:
+        if role is None or role[2] is None:
             reason = "needs table names" if role is None else "no distance estimate"
-            derivation.append(DerivationEntry("band_twist_bound", None, f"{label}: {reason}"))
+            yield DerivationEntry("band_twist_bound", None, f"{label}: {reason}")
             continue
-        _, _, p, q, gon = role
-        derivation.append(DerivationEntry(
-            "band_twist_bound", gon,
-            f"2(p + q + 1) with p={p[0]} ({p[1]}), q={q[0]} ({q[1]}); {label}",
-        ))
-    us = [data.u_of(r.name) if r.name else None for r in (r1, r2, r3)]
-    if all(u is not None for u in us):
-        # a sum is at least a 2-gon, even when every u vanishes
-        coarse = max(2, 4 * sum(us))
-        derivation.append(DerivationEntry(
-            "coarse_unknotting_bound", coarse,
-            f"4(u1 + u2 + u3) = 4({us[0]} + {us[1]} + {us[2]}), floor 2",
-        ))
-    return min(_values(derivation), default=None), tuple(derivation)
+        (p, p_source), (q, q_source), plan = role
+        yield DerivationEntry(
+            "band_twist_bound", plan.final_gon,
+            f"2(p + q + 1) with p={p} ({p_source}), q={q} ({q_source}); {label}",
+        )
+    if names:
+        us = [data.u_of(name) for name in names]
+        if None not in us:
+            # a sum is at least a 2-gon, even when every u vanishes
+            yield DerivationEntry(
+                "coarse_unknotting_bound", max(2, 4 * sum(us)),
+                f"4(u1 + u2 + u3) = 4({us[0]} + {us[1]} + {us[2]}), floor 2",
+            )
 
 
 @dataclass(frozen=True)
@@ -364,17 +344,22 @@ def dm_interval(
     data: DistanceData | None = None,
 ) -> DMInterval:
     """Two-sided certified interval for d_M(K1, K2; K3): the one entry point
-    for the bounds, the connected-sum status and their derivation. upper is
-    None when an estimate needs table names or data that is missing.
+    for the bounds, the connected-sum status and their derivation.
+
+    lower is the largest valued entry of the derivation that is not an upper
+    bound, and upper the smallest upper-bound entry; upper is None when every
+    upper bound needs table names or data that is missing.
     """
     data = data or load_distance_data()
-    r1, r2, r3 = _resolve(k1), _resolve(k2), _resolve(k3)
-    lower, status, lower_derivation = _lower(r1, r2, r3, data)
-    upper, upper_derivation = _upper(r1, r2, r3, status, data)
+    names, profiles = zip(*map(_resolve, (k1, k2, k3)))
+    named = names if all(names) else None
+    status, note = _sum_status(named, profiles)
+    derivation = tuple(_derivation(named, profiles, status, note, data))
+    bounds = [entry for entry in derivation if entry.value is not None]
     return DMInterval(
-        lower=lower,
-        upper=upper,
-        derivation=lower_derivation + upper_derivation,
+        lower=max(e.value for e in bounds if e.name not in _UPPER_BOUNDS),
+        upper=min((e.value for e in bounds if e.name in _UPPER_BOUNDS), default=None),
+        derivation=derivation,
         connected_sum_status=status,
     )
 
@@ -404,8 +389,9 @@ class GonPlan:
 
     p annuli of one positive full twist each turn the surface of the knot
     sent to K3; q of one negative full twist undo the other knot to the
-    unknot, so p and q fix the annuli. The two batches merge into (2p+2)-
-    and (2q+2)-gons, then one boundary connected sum gives the final gon.
+    unknot, so p and q fix the annuli. Each batch of 4-gons merges along the
+    knot boundary (a 2-gon when the batch is empty), and one boundary
+    connected sum of the two gives the final gon, 2(p + q + 1).
     """
 
     names: tuple[str, str, str]
@@ -413,8 +399,14 @@ class GonPlan:
     to_unknot: str
     p: int
     q: int
-    intermediate_gons: tuple[int, int]
-    final_gon: int
+
+    @property
+    def intermediate_gons(self) -> tuple[int, int]:
+        return tuple(gon_merge([4] * n or [2], knot_boundary=True) for n in (self.p, self.q))
+
+    @property
+    def final_gon(self) -> int:
+        return gon_merge(self.intermediate_gons, knot_boundary=True)
 
     def serialize(self) -> dict[str, object]:
         return {
@@ -428,38 +420,16 @@ class GonPlan:
         }
 
 
-def _batch_gon(count: int) -> int:
-    # merging count 4-gons along a knot boundary gives 2*count + 2
-    if count == 0:
-        return 2
-    return gon_merge([4] * count, knot_boundary=True)
-
-
 def plan_triple_sum(
     k1: str, k2: str, k3: str, data: DistanceData | None = None
 ) -> GonPlan:
-    """Pick the cheaper role assignment and lay out the twist annuli.
-
-    The final gon is 2(p + q + 1), matching the band-twist upper bound for
-    the same estimates. Raises when no estimate resolves.
+    """The cheaper of the two plans behind dm_interval's band_twist_bound
+    entries, the first on a tie. Raises when no estimate resolves.
     """
     data = data or load_distance_data()
     for name in (k1, k2, k3):
         lookup(name)
-    options = [role for role in _score_roles(data, k1, k2, k3) if role[4] is not None]
-    if not options:
-        raise DistanceDataError(
-            f"no band-twist estimates available for ({k1}, {k2}; {k3})"
-        )
-    twisted, trivialized, (p, _), (q, _), _ = min(options, key=lambda role: role[4])
-    g1, g2 = _batch_gon(p), _batch_gon(q)
-    final = gon_merge([g1, g2], knot_boundary=True)
-    return GonPlan(
-        names=(k1, k2, k3),
-        to_k3=twisted,
-        to_unknot=trivialized,
-        p=p,
-        q=q,
-        intermediate_gons=(g1, g2),
-        final_gon=final,
-    )
+    plans = [plan for _, _, plan in _score_roles(data, k1, k2, k3) if plan is not None]
+    if not plans:
+        raise DistanceDataError(f"no band-twist estimates available for ({k1}, {k2}; {k3})")
+    return min(plans, key=lambda plan: plan.final_gon)

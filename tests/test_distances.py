@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -209,14 +211,37 @@ def test_odd_signature_bound_is_evened_up():
 
 def test_no_distance_data_leaves_the_upper_bound_unknown():
     empty = DistanceData(knots={}, pairs={})
-    interval = dm_interval("3_1", "4_1", "5_2", data=empty)
-    assert [e.inputs for e in interval.derivation if e.name == "band_twist_bound"] == [
-        "K1 to K3, K2 to unknot: no distance estimate",
-        "K2 to K3, K1 to unknot: no distance estimate",
-    ]
-    assert interval.upper is None
-    with pytest.raises(DistanceDataError, match="no band-twist estimates"):
-        plan_triple_sum("3_1", "4_1", "5_2", data=empty)
+    # in (3_1, 3_1, 3_1) each role resolves p ("identical knots") but not q
+    for triple in (("3_1", "4_1", "5_2"), ("3_1", "3_1", "3_1")):
+        interval = dm_interval(*triple, data=empty)
+        assert [e.inputs for e in interval.derivation if e.name == "band_twist_bound"] == [
+            "K1 to K3, K2 to unknot: no distance estimate",
+            "K2 to K3, K1 to unknot: no distance estimate",
+        ], triple
+        assert interval.upper is None
+        with pytest.raises(DistanceDataError, match="no band-twist estimates"):
+            plan_triple_sum(*triple, data=empty)
+
+
+def test_all_table_triples_keep_their_bounds_and_plans():
+    # sha256 of every interval and plan (or its refusal) over all table
+    # triples, plus two intervals on empty data; any change to a bound, a
+    # derivation line or a plan moves it
+    digest = hashlib.sha256()
+    names = tuple(load_table())
+    for triple in itertools.product(names, repeat=3):
+        try:
+            plan = plan_triple_sum(*triple).serialize()
+        except DistanceDataError as exc:
+            plan = str(exc)
+        record = [dm_interval(*triple).serialize(), plan]
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    empty = DistanceData(knots={}, pairs={})
+    for triple in (("3_1", "3_1", "3_1"), ("unknot", "3_1", "4_1")):
+        record = dm_interval(*triple, data=empty).serialize()
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert len(names) ** 3 == 4096
+    assert digest.hexdigest() == "556b5d695a4ddfa13dd165dbe7c78f0cf0c2ff7a4391b30df86a1909596356a9"
 
 
 def test_curated_pairs_tighten_the_upper_bound(tmp_path):
