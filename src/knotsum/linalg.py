@@ -1,14 +1,15 @@
 """Exact, fraction-free linear algebra over the integers and over Z[t, t^-1].
 
-One determinant kernel, `bareiss_determinant`: fraction-free integer
-elimination (Bareiss 1968) that never touches a zero, used by both
-Alexander routes. Its only divisions are exact. A row with a zero under
-the pivot sits the step out, and its missed scalings by p_k/p_(k-1)
-telescope into one exact division by a stored pivot ratio, done when the
-row next takes part; each row update stops at the last nonzero column of
-the pivot row or of the row itself, so fill stays inside the rows'
-skyline. On a matrix of bandwidth b that is O(n*b^2) integer operations
-plus O(n^2) zero tests (row ends, pivot columns), against O(n^3) dense.
+One elimination kernel, `_eliminate`: fraction-free integer elimination
+(Bareiss 1968) that never touches a zero, behind both `bareiss_determinant`
+(row pivoting) and `symmetric_signature` (diagonal pivoting). Its only
+divisions are exact. A row with a zero under the pivot sits the step out,
+and its missed scalings by p_k/p_(k-1) telescope into one exact division
+by a stored pivot ratio, done when the row next takes part; each row
+update stops at the last nonzero column of the pivot row or of the row
+itself, so fill stays inside the rows' skyline. On a matrix of bandwidth
+b that is O(n*b^2) integer operations plus O(n^2) zero tests (row ends,
+pivot columns), against O(n^3) dense.
 
 Polynomial determinants, of matrix pencils A + t*B and of matrices of
 Laurent polynomials, run the integer kernel once, at t = 2^B (Kronecker
@@ -17,31 +18,35 @@ determinant, so the integer holds them as balanced base-2^B digits, which
 `balanced_digits`, the one decoder, reads back with no interpolation.
 Pencils are eliminated on a reverse Cuthill-McKee order (Cuthill & McKee
 1969) that gives the sparse Seifert pencils a small bandwidth. Symmetric
-signatures come from integer congruence diagonalization. No floating
-point is used anywhere in the package.
+signatures are counted from the signs of the kernel's pivots (Sylvester's
+law of inertia). No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 from operator import or_
 from typing import Sequence
 
 from .laurent import ZERO, LaurentPolynomial
 
 
-def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix; 1 when empty.
+def _eliminate(matrix: Sequence[Sequence[int]], symmetric: bool) -> tuple[list[int], int]:
+    """Pivots [1, D_1, ..., D_r] of fraction-free elimination, and the sign of its row swaps.
 
-    The pivot at step k is the first row at or below k with a nonzero in
-    column k (a swap flips the sign). level[i] = L records that row i holds
-    the values left by step L - 1, so its values for step k are
-    stored * piv[k] // piv[L], exactly, as Bareiss's values are minors.
+    Row pivoting takes at step k the first row at or below k with a nonzero
+    in column k. Diagonal pivoting (symmetric) takes the first nonzero
+    diagonal and swaps columns as rows, so D_k are the leading principal
+    minors of a congruent matrix; when every live diagonal is zero it adds
+    row and column j into i for a nonzero m[i][j], a unimodular congruence
+    that keeps the divisions exact and makes the diagonal 2*m[i][j]. It
+    stops, r < n, at a zero live column (live block, when symmetric).
+    level[i] = L records that row i holds the values left by step L - 1, so
+    its values for step k are stored * piv[k] // piv[L], exactly, as
+    Bareiss's values are minors.
     """
     n = len(matrix)
-    if n == 0:
-        return 1
     ends = []
     for row in matrix:
         if len(row) != n:
@@ -51,32 +56,55 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
             e -= 1
         ends.append(e)
     m = list(map(list, matrix))
+    if symmetric and m != list(map(list, zip(*m))):
+        raise ValueError("matrix is not symmetric")
     level = [0] * n
     piv = [1]  # piv[k + 1] is the pivot of step k
     sign = 1
+
+    def lift(r: int, k: int) -> None:  # row r to its values for step k
+        lag = level[r]
+        if lag != k:
+            row, prev, ratio = m[r], piv[k], piv[lag]
+            for j in range(k, ends[r] + 1):
+                row[j] = row[j] * prev // ratio
+            level[r] = k
+
     for k in range(n):
         p = k
-        while p < n and not m[p][k]:
+        while p < n and not m[p][p if symmetric else k]:
             p += 1
-        if p == n:
-            return 0
+        if p == n:  # no pivot; diagonal pivoting first tries the row-and-column addition
+            pair = symmetric and next(((i, j) for i in range(k, n)
+                                       for j in range(i + 1, ends[i] + 1) if m[i][j]), None)
+            if not pair:
+                break
+            p, j = pair
+            lift(p, k)
+            lift(j, k)
+            for c in range(k, ends[j] + 1):
+                m[p][c] += m[j][c]
+            ends[p] = max(ends[p], ends[j])
+            for r in range(k, n):  # m[r][j] != 0 only where ends[r] >= j > p
+                m[r][p] += m[r][j]
         if p != k:
             m[k], m[p] = m[p], m[k]
             ends[k], ends[p] = ends[p], ends[k]
             level[k], level[p] = level[p], level[k]
             sign = -sign
+            if symmetric:
+                for r in range(k, n):
+                    row = m[r]
+                    row[k], row[p] = row[p], row[k]
+                    if row[p] and ends[r] < p:
+                        ends[r] = p
+        lift(k, k)
         prev = piv[k]
         top = m[k]
         end = ends[k]
-        lag = level[k]
-        if lag != k:
-            ratio = piv[lag]
-            for j in range(k, end + 1):
-                top[j] = top[j] * prev // ratio
         pivot = top[k]
         piv.append(pivot)
-        # rows k+1 .. p-1 have a zero in column k, like every skipped row
-        for i in range(p + 1, n):
+        for i in range(k + 1, n):
             row = m[i]
             f = row[k]
             if not f:
@@ -94,7 +122,13 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
                 for j in range(k + 1, stop + 1):
                     row[j] = (row[j] * prev // ratio * pivot - f * top[j]) // prev
             level[i] = k + 1
-    return sign * piv[n]
+    return piv, sign
+
+
+def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix; 1 when empty."""
+    piv, sign = _eliminate(matrix, False)
+    return sign * piv[-1] if len(piv) > len(matrix) else 0
 
 
 def balanced_digits(value: int, bits: int) -> list[int]:
@@ -236,52 +270,12 @@ def laurent_matrix_determinant(
 
 
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> int:
-    """Signature of a symmetric integer matrix by exact congruence diagonalization.
+    """Signature of a symmetric integer matrix, by Sylvester's law of inertia.
 
-    Fraction free: pivot d clears row and column i by the congruence
-    row_i <- d*row_i - f*row_p, then the same on column i; row and column i
-    are then divided by a g with g^2 | m[i][i]. Zero rows contribute nothing.
+    The kernel's diagonal pivoting (`_eliminate`) gives the nonzero leading
+    principal minors D_1, ..., D_r of a congruent matrix whose Schur
+    complement past them is zero, so the signature is
+    sum(sign(D_k * D_(k-1))).
     """
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix is not symmetric")
-    sig = 0
-    live = list(range(n))
-    while live:
-        pivot = next((i for i in live if m[i][i] != 0), None)
-        if pivot is None:
-            pair = next(
-                ((i, j) for i in live for j in live if i < j and m[i][j] != 0), None
-            )
-            if pair is None:
-                break  # remaining block is zero
-            i, j = pair
-            # congruence: add row/column j into i to expose a nonzero diagonal
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-            continue
-        d = m[pivot][pivot]
-        sig += 1 if d > 0 else -1
-        live.remove(pivot)
-        for i in live:
-            f = m[i][pivot]
-            if f == 0:
-                continue
-            for k in range(n):
-                m[i][k] = d * m[i][k] - f * m[pivot][k]
-            for k in range(n):
-                m[k][i] = d * m[k][i] - f * m[k][pivot]
-            g = gcd(*(m[i][k] for k in live))  # live includes i
-            g = gcd(g, m[i][i] // g) if g else 0  # so that g^2 | m[i][i]
-            if g > 1:
-                for k in live:
-                    m[i][k] //= g
-                    m[k][i] //= g
-    return sig
+    piv, _ = _eliminate(matrix, True)
+    return sum(1 if (a > 0) == (b > 0) else -1 for a, b in zip(piv, piv[1:]))

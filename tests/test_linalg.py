@@ -1,10 +1,12 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from knotsum import linalg
+from knotsum.braid import BraidWord, closure_data
 from knotsum.laurent import ONE, T, ZERO, LaurentPolynomial
 from knotsum.linalg import (
     balanced_digits,
@@ -13,6 +15,7 @@ from knotsum.linalg import (
     pencil_determinant,
     symmetric_signature,
 )
+from knotsum.seifert import seifert_matrix_of_braid
 
 
 def _cofactor_det(m, one=1):
@@ -359,11 +362,20 @@ def test_symmetric_signature_examples():
     assert symmetric_signature([[2]]) == 1
     assert symmetric_signature([[-2, 1], [1, -2]]) == -2
     assert symmetric_signature([[0, 1], [1, 0]]) == 0
-    # the pair step exposes diagonal 2; dividing that row by its plain gcd
-    # (2) instead of a g with g^2 | 2 would wrongly zero the diagonal
+    # no diagonal is nonzero: adding row and column 1 into 0 makes it -2
     assert symmetric_signature([[0, -1], [-1, 0]]) == 0
     assert symmetric_signature([[0, 0], [0, 3]]) == 1
     assert symmetric_signature([[1, 0, 0], [0, -1, 0], [0, 0, 0]]) == 0
+    assert symmetric_signature([[0] * 3 for _ in range(3)]) == 0
+    # after the first pivot the live block is [[0, -1], [-1, 0]], so the
+    # row-and-column addition runs mid-elimination, on updated rows
+    assert symmetric_signature([[1, 1, 1], [1, 1, 0], [1, 0, 1]]) == 1
+    # found by a seeded search: at step 1 the first nonzero live diagonal
+    # is row 2's, which sat out step 0 (m[2][0] = 0), and its stored 1
+    # rescales by piv[1] / piv[0] = -1 to D_2 = -1. Reading the stored
+    # sign instead gives -3
+    lagging = [[-1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
+    assert symmetric_signature(lagging) == _descartes_signature(lagging) == 1
     # only the first n columns used to be read, giving 1
     with pytest.raises(ValueError, match="square"):
         symmetric_signature([[1, 5]])
@@ -419,3 +431,82 @@ def test_signature_matches_descartes_on_seeded_sparse_matrices():
             for i in range(n):
                 sym[i][i] = 0  # zero diagonal: the pair step has to run
         assert symmetric_signature(sym) == _descartes_signature(sym), sym
+
+
+def _congruence_signature(sym):
+    """Signature by congruence diagonalization, sharing no code with the kernel.
+
+    Pivot d clears row and column i by row_i <- d*row_i - f*row_p, then the
+    same on column i; row and column i are then divided by a g with
+    g^2 | m[i][i]. A live block with a zero diagonal first gets row and
+    column j added into i for a nonzero m[i][j].
+    """
+    n = len(sym)
+    m = [list(row) for row in sym]
+    sig = 0
+    live = list(range(n))
+    while live:
+        pivot = next((i for i in live if m[i][i] != 0), None)
+        if pivot is None:
+            pair = next(((i, j) for i in live for j in live if i < j and m[i][j] != 0), None)
+            if pair is None:
+                break  # remaining block is zero
+            i, j = pair
+            for k in range(n):
+                m[i][k] += m[j][k]
+            for k in range(n):
+                m[k][i] += m[k][j]
+            continue
+        d = m[pivot][pivot]
+        sig += 1 if d > 0 else -1
+        live.remove(pivot)
+        for i in live:
+            f = m[i][pivot]
+            if f == 0:
+                continue
+            for k in range(n):
+                m[i][k] = d * m[i][k] - f * m[pivot][k]
+            for k in range(n):
+                m[k][i] = d * m[k][i] - f * m[k][pivot]
+            g = gcd(*(m[i][k] for k in live))  # live includes i
+            g = gcd(g, m[i][i] // g) if g else 0  # so that g^2 | m[i][i]
+            if g > 1:
+                for k in live:
+                    m[i][k] //= g
+                    m[k][i] //= g
+    return sig
+
+
+def _seifert_forms(rng, count):
+    # V + V^T of knot words on 6-10 strands and up to 40 letters, past the
+    # corpus of <= 5 strands and 12 letters; a loop through bands of
+    # opposite signs puts a zero on the diagonal
+    forms = []
+    while len(forms) < count:
+        strands = rng.randint(6, 10)
+        alphabet = [s * i for i in range(1, strands) for s in (1, -1)]
+        letters = tuple(rng.choice(alphabet) for _ in range(rng.randint(strands - 1, 40)))
+        word = BraidWord(strands, letters)
+        if closure_data(word).components == 1:
+            forms.append(seifert_matrix_of_braid(word).symmetrized())
+    return forms
+
+
+def test_signature_matches_congruence_oracle_on_seeded_matrices():
+    rng = random.Random(2112)
+    cases = _seifert_forms(rng, 60)
+    for trial in range(240):
+        n = trial % 12 + 1
+        m = _random_matrix(rng, n, rng.choice((0.2, 0.5, 1.0)), -5, 5)
+        sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        if trial % 2:
+            for i in range(n):
+                sym[i][i] = 0
+        else:
+            # a zero trailing block, singular when wider than half the matrix
+            z = rng.randint(1, n)
+            for i in range(n - z, n):
+                sym[i][n - z:] = [0] * z
+        cases.append(sym)
+    for sym in cases:
+        assert symmetric_signature(sym) == _congruence_signature(sym), sym
