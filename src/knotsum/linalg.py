@@ -2,7 +2,7 @@
 
 One elimination kernel, `_eliminate`: fraction-free integer elimination
 (Bareiss 1968) that never touches a zero, behind both `bareiss_determinant`
-(row pivoting) and `symmetric_signature` (diagonal pivoting). Its only
+(row pivoting) and `symmetric_form` (diagonal pivoting). Its only
 divisions are exact. A row with a zero under the pivot sits the step out,
 and its missed scalings by p_k/p_(k-1) telescope into one exact division
 by a stored pivot ratio, done when the row next takes part; each row
@@ -17,8 +17,8 @@ substitution). B comes from Hadamard's bound on the coefficients of the
 determinant, so the integer holds them as balanced base-2^B digits, which
 `balanced_digits`, the one decoder, reads back with no interpolation.
 Pencils are eliminated on a reverse Cuthill-McKee order (Cuthill & McKee
-1969) that gives the sparse Seifert pencils a small bandwidth. Symmetric
-signatures are counted from the signs of the kernel's pivots (Sylvester's
+1969) that gives the sparse Seifert pencils a small bandwidth. A symmetric
+form's signature and determinant are read off one run's pivots (Sylvester's
 law of inertia). No floating point is used anywhere in the package.
 """
 
@@ -269,13 +269,19 @@ def laurent_matrix_determinant(
     return _kronecker_determinant(n, entries)
 
 
-def symmetric_signature(matrix: Sequence[Sequence[int]]) -> int:
-    """Signature of a symmetric integer matrix, by Sylvester's law of inertia.
+def symmetric_form(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(signature, determinant) of a symmetric integer matrix, from one elimination.
 
     The kernel's diagonal pivoting (`_eliminate`) gives the nonzero leading
     principal minors D_1, ..., D_r of a congruent matrix whose Schur
-    complement past them is zero, so the signature is
-    sum(sign(D_k * D_(k-1))).
+    complement past them is zero, so the signature is sum(sign(D_k * D_(k-1)))
+    (Sylvester's law of inertia), and the determinant is D_n, or 0 if r < n.
     """
     piv, _ = _eliminate(matrix, True)
-    return sum(1 if (a > 0) == (b > 0) else -1 for a, b in zip(piv, piv[1:]))
+    signature = sum(1 if (a > 0) == (b > 0) else -1 for a, b in zip(piv, piv[1:]))
+    return signature, piv[-1] if len(piv) > len(matrix) else 0
+
+
+def symmetric_signature(matrix: Sequence[Sequence[int]]) -> int:
+    """Signature of a symmetric integer matrix (`symmetric_form`)."""
+    return symmetric_form(matrix)[0]

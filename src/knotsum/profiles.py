@@ -14,11 +14,7 @@ from functools import cached_property
 
 from .braid import BraidWord, closure_data, free_reduce
 from .laurent import LaurentPolynomial
-from .seifert import (
-    SeifertMatrix,
-    canonical_surface_is_connected,
-    seifert_matrix_of_braid,
-)
+from .seifert import SeifertMatrix, seifert_matrix_of_braid
 
 
 @dataclass(frozen=True)
@@ -101,9 +97,7 @@ class BraidInvariants:
 
     @cached_property
     def determinant(self) -> int:
-        """|alexander(-1)|: |det(V + V^T)|, or zero for a split closure."""
-        if not canonical_surface_is_connected(self.word):
-            return 0
+        """|det(V + V^T)|; the elimination that gives it gives the signature too."""
         return self.matrix.determinant_invariant()
 
     @cached_property
@@ -112,10 +106,6 @@ class BraidInvariants:
 
     @cached_property
     def alexander(self) -> LaurentPolynomial:
-        """Zero for a split closure (some generator unused), whose canonical
-        surface is disconnected."""
-        if not canonical_surface_is_connected(self.word):
-            return LaurentPolynomial()
         return self.matrix.alexander()
 
     def matches(self, key: tuple[LaurentPolynomial, int, int, int]) -> bool:
@@ -123,7 +113,8 @@ class BraidInvariants:
 
         Checks components, then the determinant, then |signature|, then the
         Alexander polynomial, and stops at the first miss, so no invariant
-        past it is computed.
+        past it is computed; the determinant and the signature share one
+        elimination of V + V^T.
         """
         alexander, signature, determinant, components = key
         return (
@@ -136,14 +127,15 @@ class BraidInvariants:
     def profile(self, word: BraidWord) -> InvariantProfile:
         """Profile of a word of this record's class, built once per word.
 
-        Only the genus bound is read off the word itself.
+        Only the genus bound is read off the word itself; InvariantProfile
+        checks the determinant, det(V + V^T), against det(V - t*V^T) at -1.
         """
         profile = self._profiles.get(word)
         if profile is None:
             profile = self._profiles[word] = InvariantProfile(
                 alexander=self.alexander,
                 signature=self.signature,
-                determinant=abs(self.alexander.at_minus_one()),
+                determinant=self.determinant,
                 canonical_genus_bound=canonical_genus_bound(word, self.components),
                 components=self.components,
             )
@@ -158,16 +150,15 @@ def profile_of_braid(word: BraidWord) -> InvariantProfile:
 def profile_of_seifert_matrix(matrix: SeifertMatrix) -> InvariantProfile:
     """Profile read off a connected-surface Seifert matrix.
 
-    Component count comes from the intersection form: it is unimodular
-    exactly for knots, and a linear plumbing bounds a 2-component link
-    otherwise. The genus bound takes the matrix size as the plumbing
-    length.
+    The component count is the parity of det(V + V^T) = det(V - V^T) mod 2,
+    the intersection form's determinant: +-1 for a knot, 0 for a link (a
+    linear plumbing bounds at most 2 components). The genus bound takes
+    the matrix size as the plumbing length.
     """
-    alexander = matrix.alexander()
-    determinant = abs(alexander.at_minus_one())
+    determinant = matrix.determinant_invariant()
     components = 1 if determinant % 2 == 1 else 2
     return InvariantProfile(
-        alexander=alexander,
+        alexander=matrix.alexander(),
         signature=matrix.signature(),
         determinant=determinant,
         canonical_genus_bound=max(0, matrix.size - components + 1) // 2,

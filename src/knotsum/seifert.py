@@ -23,11 +23,12 @@ requirement that det(V - t*V^T) reproduces the Burau route's Alexander
 polynomial on every word, and that sigma(closure of sigma_1^3) = -2
 fixes the global mirror convention; the test suite enforces both.
 
-det(V - t*V^T) is the Alexander polynomial only when the surface is
-connected, which for a closed braid means every generator index occurs
-in the word. Otherwise the closure is a split link and its Alexander
-polynomial vanishes; alexander_of_braid and profiles.BraidInvariants
-handle that case.
+A word with k unused generator indices has a canonical surface in k + 1
+pieces and closes to a split link. seifert_matrix_of_braid tubes the pieces
+together: the boundary and every linking number stay, and each tube adds
+its meridian, which bounds a disk off the surface, as a zero row and
+column after the loops. det(V - t*V^T) and det(V + V^T) then vanish by
+themselves, and the signature is the sum over the pieces.
 
 A linear plumbing of unknotted annuli with even twist counts
 [a1, ..., an] gets the n x n matrix with diagonal -ai/2 and a single +1
@@ -38,12 +39,13 @@ above the diagonal per adjacent pair, matching the braid convention
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import neg
 from typing import Sequence
 
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
-from .linalg import bareiss_determinant, pencil_determinant, symmetric_signature
+from .linalg import pencil_determinant, symmetric_form
 
 
 @dataclass(frozen=True)
@@ -76,12 +78,16 @@ class SeifertMatrix:
         neg_vt = [list(map(neg, col)) for col in zip(*self.rows)]
         return pencil_determinant(self.rows, neg_vt).normalized()
 
+    @cached_property
+    def _symmetric_form(self) -> tuple[int, int]:
+        return symmetric_form(self.symmetrized())
+
     def signature(self) -> int:
-        return symmetric_signature(self.symmetrized())
+        return self._symmetric_form[0]
 
     def determinant_invariant(self) -> int:
         """|det(V + V^T)|, the link determinant."""
-        return abs(bareiss_determinant(self.symmetrized()))
+        return abs(self._symmetric_form[1])
 
 
 @dataclass(frozen=True)
@@ -108,14 +114,16 @@ def _basis_loops(word: BraidWord) -> list[_Loop]:
 
 
 def seifert_matrix_of_braid(word: BraidWord) -> SeifertMatrix:
-    """Seifert matrix of the canonical surface of the braid closure.
+    """Seifert matrix of the closure's canonical surface, its pieces tubed together.
 
     Basis loops are ordered by (generator index, position), so the matrix
-    itself, not just its invariants, is deterministic.
+    itself, not just its invariants, is deterministic; one zero row and
+    column per unused generator index (a tube's meridian) follow them.
     """
     loops = _basis_loops(word)
     n = len(loops)
-    m = [[0] * n for _ in range(n)]
+    size = n + word.strands - 1 - len({abs(v) for v in word.letters})  # tubes after loops
+    m = [[0] * size for _ in range(size)]
     for r, u in enumerate(loops):
         m[r][r] = -(u.first_sign + u.second_sign) // 2
     for r in range(n):
@@ -150,18 +158,6 @@ def seifert_matrix_of_plumbing(half_twists: Sequence[int]) -> SeifertMatrix:
     return SeifertMatrix.from_lists(m)
 
 
-def canonical_surface_is_connected(word: BraidWord) -> bool:
-    """True when every band column is populated, so the disks chain up."""
-    used = {abs(v) for v in word.letters}
-    return all(i in used for i in range(1, word.strands))
-
-
 def alexander_of_braid(word: BraidWord) -> LaurentPolynomial:
-    """Alexander polynomial of the closure, through the surface route.
-
-    Split closures (some generator index unused) have a disconnected
-    canonical surface; their Alexander polynomial is zero.
-    """
-    if not canonical_surface_is_connected(word):
-        return LaurentPolynomial()
+    """Alexander polynomial of the closure, through the surface route."""
     return seifert_matrix_of_braid(word).alexander()

@@ -13,6 +13,7 @@ from knotsum.linalg import (
     bareiss_determinant,
     laurent_matrix_determinant,
     pencil_determinant,
+    symmetric_form,
     symmetric_signature,
 )
 from knotsum.seifert import seifert_matrix_of_braid
@@ -376,6 +377,12 @@ def test_symmetric_signature_examples():
     # sign instead gives -3
     lagging = [[-1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
     assert symmetric_signature(lagging) == _descartes_signature(lagging) == 1
+    # the same run's last pivot is the determinant; a run that stops early means 0
+    assert symmetric_form([]) == (0, 1)
+    assert symmetric_form([[0, -1], [-1, 0]]) == (0, -1)
+    assert symmetric_form([[1, 1, 1], [1, 1, 0], [1, 0, 1]]) == (1, -1)
+    assert symmetric_form([[0] * 3 for _ in range(3)]) == (0, 0)
+    assert symmetric_form(lagging) == (1, 0)
     # only the first n columns used to be read, giving 1
     with pytest.raises(ValueError, match="square"):
         symmetric_signature([[1, 5]])
@@ -509,4 +516,4 @@ def test_signature_matches_congruence_oracle_on_seeded_matrices():
                 sym[i][n - z:] = [0] * z
         cases.append(sym)
     for sym in cases:
-        assert symmetric_signature(sym) == _congruence_signature(sym), sym
+        assert symmetric_form(sym) == (_congruence_signature(sym), _dense_bareiss(sym)), sym

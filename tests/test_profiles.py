@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from knotsum import profiles, seifert
+from knotsum import linalg, profiles, seifert
 from knotsum.braid import BraidWord, murasugi_concat
 from knotsum.laurent import LaurentPolynomial
 from knotsum.plumbing import PlumbingWord, boundary_profile
@@ -17,7 +17,7 @@ from knotsum.profiles import (
 from knotsum.seifert import seifert_matrix_of_plumbing
 from knotsum.table import lookup
 
-from corpus import random_knot_words
+from corpus import random_braid_words, random_knot_words
 
 TREFOIL_DELTA = LaurentPolynomial.from_dict({-1: 1, 0: -1, 1: 1})
 
@@ -144,6 +144,32 @@ def test_profile_of_braid_builds_one_seifert_matrix(monkeypatch):
     for w in words:
         profile_of_braid(w)
     assert calls == list(words)
+
+
+def test_each_seifert_form_is_eliminated_once(monkeypatch):
+    eliminate = linalg._eliminate
+    runs = []
+
+    def counting(matrix, symmetric):
+        runs.append((tuple(map(tuple, matrix)), symmetric))
+        return eliminate(matrix, symmetric)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    # knots, links and split closures (unused generators) alike
+    words = [w for w in random_braid_words(21, 200, max_strands=7, max_letters=20)
+             if seifert.seifert_matrix_of_braid(w).size]
+    for word in words:
+        key = profile_of_braid(word).fingerprint()
+        alexander, signature, determinant, components = key
+        record = BraidInvariants(word)
+        runs.clear()
+        # a miss at components or |signature|, then a full match, then the profile
+        wrong_signature = (alexander, signature + 2, determinant, components)
+        for probe in (UNKNOT_PROFILE_KEY, wrong_signature, key):
+            record.matches(probe)
+        assert record.profile(word).fingerprint() == key
+        form = record.matrix.symmetrized()
+        assert [symmetric for matrix, symmetric in runs if matrix == form] == [True], word
 
 
 def test_identify():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from knotsum.braid import BraidWord
+from knotsum.braid import BraidWord, murasugi_concat
 from knotsum.burau import alexander_via_burau
 from knotsum.laurent import ZERO, LaurentPolynomial
 from knotsum.linalg import bareiss_determinant
@@ -8,7 +10,6 @@ from knotsum.seifert import (
     SeifertMatrix,
     _basis_loops,
     alexander_of_braid,
-    canonical_surface_is_connected,
     seifert_matrix_of_braid,
     seifert_matrix_of_plumbing,
 )
@@ -85,9 +86,11 @@ def test_plumbing_chain_matches_torus_braid_surface():
 
 
 def test_split_closures_have_zero_alexander():
-    assert not canonical_surface_is_connected(BraidWord(3, (1, 1, 1)))
+    # index 2 is unused: the trefoil's surface and a disk, joined by a tube
+    assert seifert_matrix_of_braid(BraidWord(3, (1, 1, 1))).rows == (
+        (-1, 1, 0), (0, -1, 0), (0, 0, 0))
     assert alexander_of_braid(BraidWord(3, (1, 1, 1))) == ZERO
-    assert canonical_surface_is_connected(BraidWord(2, (1,)))
+    assert seifert_matrix_of_braid(BraidWord(2, (1,))).rows == ()
     assert alexander_of_braid(BraidWord(2, ())) == ZERO
 
 
@@ -120,3 +123,78 @@ def test_alexander_invariant_under_braid_relations():
     d = BraidWord(3, (2, 1, 2, 1, 2))
     assert alexander_of_braid(c) == alexander_of_braid(d)
     assert seifert_matrix_of_braid(c).signature() == seifert_matrix_of_braid(d).signature()
+
+
+def _pieces(word):
+    """The braid words of a split closure's pieces, each re-indexed on its own strands."""
+    used = {abs(v) for v in word.letters}
+    pieces, start = [], 1
+    for cut in [i for i in range(1, word.strands) if i not in used] + [word.strands]:
+        letters = tuple(v - (start - 1) if v > 0 else v + (start - 1)
+                        for v in word.letters if start <= abs(v) < cut)
+        pieces.append(BraidWord(cut - start + 1, letters))
+        start = cut + 1
+    return pieces
+
+
+def test_split_surfaces_are_tubed_together():
+    rng = random.Random(2112)
+    for _ in range(200):
+        strands = rng.randint(2, 8)
+        dropped = set(rng.sample(range(1, strands), rng.randint(1, strands - 1)))
+        alphabet = [s * i for i in range(1, strands) if i not in dropped for s in (1, -1)]
+        letters = rng.choices(alphabet, k=rng.randint(0, 24)) if alphabet else []
+        w = BraidWord(strands, tuple(letters))
+        unused = set(range(1, strands)).difference(map(abs, w.letters))
+        m = seifert_matrix_of_braid(w)
+        loops = len(_basis_loops(w))
+        assert m.size == loops + len(unused), w
+        assert not any(map(any, m.rows[loops:])) and not any(any(row[loops:]) for row in m.rows), w
+        assert alexander_of_braid(w) == ZERO == alexander_via_burau(w), w
+        assert m.determinant_invariant() == 0, w
+        pieces = _pieces(w)
+        assert len(pieces) == len(unused) + 1
+        assert m.signature() == sum(seifert_matrix_of_braid(p).signature() for p in pieces), w
+
+
+def _connected_word(rng, strands, letters, homogeneous):
+    """A word on all strands - 1 generators; homogeneous words give each generator one sign."""
+    signs = {i: rng.choice((1, -1)) for i in range(1, strands)}
+    indices = list(range(1, strands))
+    indices += rng.choices(indices, k=max(0, letters - len(indices)))
+    rng.shuffle(indices)
+    return BraidWord(strands, tuple(
+        i * (signs[i] if homogeneous else rng.choice((1, -1))) for i in indices))
+
+
+def test_murasugi_sum_is_block_triangular_and_fixes_the_alexander_extremes():
+    # Loops are sorted by index, so the inner word's come first and only the
+    # (index k, index k + 1) slot couples the two sides. Then
+    # det(V - t*V^T) has t^0 and t^(a+b) coefficients +-det V(inner)*det V(outer).
+    rng = random.Random(4001)
+    nonzero = 0
+    for _ in range(300):
+        s1 = rng.randint(2, 6)
+        s2 = rng.randint(2, 12 - s1)
+        homogeneous = rng.random() < 0.5
+        w1 = _connected_word(rng, s1, rng.randint(s1 - 1, 20), homogeneous)
+        w2 = _connected_word(rng, s2, rng.randint(s2 - 1, 20), homogeneous)
+        shuffle = [0] * len(w1.letters) + [1] * len(w2.letters)
+        rng.shuffle(shuffle)
+        composite = murasugi_concat(w1, w2, shuffle).word
+        inner, outer = seifert_matrix_of_braid(w1), seifert_matrix_of_braid(w2)
+        a, b = inner.size, outer.size
+        v = seifert_matrix_of_braid(composite).rows
+        assert tuple(row[:a] for row in v[:a]) == inner.rows, composite
+        assert tuple(row[a:] for row in v[a:]) == outer.rows, composite
+        assert not any(any(row[:a]) for row in v[a:]), composite
+        d = bareiss_determinant(inner.rows) * bareiss_determinant(outer.rows)
+        delta = alexander_via_burau(composite)
+        span = len(delta.coeffs) - 1
+        if d:
+            nonzero += 1
+            assert span == a + b, composite
+            assert abs(delta.coeffs[0]) == abs(delta.coeffs[-1]) == abs(d), composite
+        else:
+            assert span <= a + b - 2, composite
+    assert nonzero >= 100
