@@ -467,7 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    except (TableError, ValueError, OSError) as exc:
+    except (TableError, ValueError, OverflowError, OSError) as exc:  # Overflow: strands >= 2^63
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "structured":

@@ -45,9 +45,9 @@ class LaurentPolynomial:
     def from_coeffs(lo: int, coeffs: Sequence[int]) -> "LaurentPolynomial":
         """The polynomial sum of coeffs[i] * t**(lo + i); zeros at either end are dropped.
 
-        The one builder for outside coefficients: from_dict, parse, constant,
-        monomial and geometric_sum end here. Arithmetic builds canonical
-        fields directly, through _make.
+        The one builder for outside coefficients: from_dict, parse, constant
+        and geometric_sum end here. Arithmetic builds canonical fields
+        directly, through _make.
         """
         hi = len(coeffs)
         while hi and not coeffs[hi - 1]:
@@ -73,10 +73,6 @@ class LaurentPolynomial:
     def constant(c: int) -> "LaurentPolynomial":
         return LaurentPolynomial.from_coeffs(0, (c,))
 
-    @staticmethod
-    def monomial(exp: int, coeff: int = 1) -> "LaurentPolynomial":
-        return LaurentPolynomial.from_coeffs(exp, (coeff,))
-
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
         """The (exponent, coefficient) pairs with nonzero coefficient, by exponent."""
@@ -85,10 +81,6 @@ class LaurentPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def coeff(self, exp: int) -> int:
-        i = exp - self.lo
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if not other.coeffs:
@@ -261,7 +253,6 @@ def _make(lo: int, coeffs: tuple[int, ...]) -> LaurentPolynomial:
 
 ZERO = LaurentPolynomial()
 ONE = LaurentPolynomial.constant(1)
-T = LaurentPolynomial.monomial(1)
 
 
 def geometric_sum(n: int) -> LaurentPolynomial:

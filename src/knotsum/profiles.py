@@ -79,10 +79,9 @@ def canonical_genus_bound(word: BraidWord, components: int) -> int:
 
 
 class BraidInvariants:
-    """Exact invariants of one braid closure, each computed on first use.
-
-    Every invariant but the genus bound is fixed on a conjugacy class, so
-    one record serves every word of the class that `word` belongs to.
+    """One braid closure: its components, its lazy Seifert matrix, which caches the
+    exact invariants, and its per-word profiles. Every invariant but the genus
+    bound is fixed on a conjugacy class, so one record serves the whole class.
     """
 
     def __init__(self, word: BraidWord) -> None:
@@ -95,51 +94,41 @@ class BraidInvariants:
     def matrix(self) -> SeifertMatrix:
         return seifert_matrix_of_braid(self.word)
 
-    @cached_property
-    def determinant(self) -> int:
-        """|det(V + V^T)|; the elimination that gives it gives the signature too."""
-        return self.matrix.determinant_invariant()
-
-    @cached_property
-    def signature(self) -> int:
-        return self.matrix.signature()
-
-    @cached_property
-    def alexander(self) -> LaurentPolynomial:
-        return self.matrix.alexander()
-
     def matches(self, key: tuple[LaurentPolynomial, int, int, int]) -> bool:
         """Whether the closure has this fingerprint() key.
 
-        Checks components, then the determinant, then |signature|, then the
-        Alexander polynomial, and stops at the first miss, so no invariant
-        past it is computed; the determinant and the signature share one
-        elimination of V + V^T.
+        Checks components, then the matrix's determinant, |signature| and
+        Alexander polynomial, stopping at the first miss: a link builds no
+        matrix, and a miss before the Alexander polynomial evaluates no pencil.
         """
         alexander, signature, determinant, components = key
         return (
             self.components == components
-            and self.determinant == determinant
-            and abs(self.signature) == signature
-            and self.alexander == alexander
+            and self.matrix.determinant_invariant() == determinant
+            and abs(self.matrix.signature()) == signature
+            and self.matrix.alexander() == alexander
         )
 
     def profile(self, word: BraidWord) -> InvariantProfile:
-        """Profile of a word of this record's class, built once per word.
-
-        Only the genus bound is read off the word itself; InvariantProfile
-        checks the determinant, det(V + V^T), against det(V - t*V^T) at -1.
-        """
+        """Profile of a word of this record's class, built once per word; only the
+        genus bound is read off the word itself."""
         profile = self._profiles.get(word)
         if profile is None:
-            profile = self._profiles[word] = InvariantProfile(
-                alexander=self.alexander,
-                signature=self.signature,
-                determinant=self.determinant,
-                canonical_genus_bound=canonical_genus_bound(word, self.components),
-                components=self.components,
+            profile = self._profiles[word] = _profile(
+                self.matrix, canonical_genus_bound(word, self.components), self.components
             )
         return profile
+
+
+def _profile(matrix: SeifertMatrix, genus_bound: int, components: int) -> InvariantProfile:
+    """The matrix's profile; InvariantProfile checks det(V + V^T) against det(V - t*V^T) at -1."""
+    return InvariantProfile(
+        alexander=matrix.alexander(),
+        signature=matrix.signature(),
+        determinant=matrix.determinant_invariant(),
+        canonical_genus_bound=genus_bound,
+        components=components,
+    )
 
 
 def profile_of_braid(word: BraidWord) -> InvariantProfile:
@@ -155,15 +144,8 @@ def profile_of_seifert_matrix(matrix: SeifertMatrix) -> InvariantProfile:
     linear plumbing bounds at most 2 components). The genus bound takes
     the matrix size as the plumbing length.
     """
-    determinant = matrix.determinant_invariant()
-    components = 1 if determinant % 2 == 1 else 2
-    return InvariantProfile(
-        alexander=matrix.alexander(),
-        signature=matrix.signature(),
-        determinant=determinant,
-        canonical_genus_bound=max(0, matrix.size - components + 1) // 2,
-        components=components,
-    )
+    components = 1 if matrix.determinant_invariant() % 2 == 1 else 2
+    return _profile(matrix, max(0, matrix.size - components + 1) // 2, components)
 
 
 def identify(p: InvariantProfile) -> list[str]:

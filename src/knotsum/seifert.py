@@ -34,13 +34,16 @@ A linear plumbing of unknotted annuli with even twist counts
 [a1, ..., an] gets the n x n matrix with diagonal -ai/2 and a single +1
 above the diagonal per adjacent pair, matching the braid convention
 (the [2, 2] chain and the sigma_1^3 surface produce the same matrix).
+
+SeifertMatrix holds the tuple rows the linalg kernels read, and computes Delta
+and the (signature, det) pair of V + V^T at most once each, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import neg
+from operator import add, neg
 from typing import Sequence
 
 from .braid import BraidWord
@@ -50,7 +53,7 @@ from .linalg import pencil_determinant, symmetric_form
 
 @dataclass(frozen=True)
 class SeifertMatrix:
-    """Square integer matrix of push-off linking numbers."""
+    """Square integer matrix V of push-off linking numbers; invariants cached on first use."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -59,24 +62,21 @@ class SeifertMatrix:
         if any(len(r) != n for r in self.rows):
             raise ValueError("Seifert matrix must be square")
 
-    @staticmethod
-    def from_lists(rows: Sequence[Sequence[int]]) -> "SeifertMatrix":
-        return SeifertMatrix(tuple(tuple(int(x) for x in row) for row in rows))
-
     @property
     def size(self) -> int:
         return len(self.rows)
 
     def symmetrized(self) -> tuple[tuple[int, ...], ...]:
-        n = self.size
-        return tuple(
-            tuple(self.rows[i][j] + self.rows[j][i] for j in range(n)) for i in range(n)
-        )
+        return tuple(tuple(map(add, row, col)) for row, col in zip(self.rows, zip(*self.rows)))
+
+    @cached_property
+    def _alexander(self) -> LaurentPolynomial:
+        neg_vt = [tuple(map(neg, col)) for col in zip(*self.rows)]
+        return pencil_determinant(self.rows, neg_vt).normalized()
 
     def alexander(self) -> LaurentPolynomial:
         """Normalized det(V - t*V^T)."""
-        neg_vt = [list(map(neg, col)) for col in zip(*self.rows)]
-        return pencil_determinant(self.rows, neg_vt).normalized()
+        return self._alexander
 
     @cached_property
     def _symmetric_form(self) -> tuple[int, int]:
@@ -90,16 +90,9 @@ class SeifertMatrix:
         return abs(self._symmetric_form[1])
 
 
-@dataclass(frozen=True)
-class _Loop:
-    index: int  # generator column: bands join disks index and index+1
-    first: int  # word position of the earlier band
-    second: int  # word position of the later band
-    first_sign: int
-    second_sign: int
-
-
-def _basis_loops(word: BraidWord) -> list[_Loop]:
+def _basis_loops(word: BraidWord) -> list[tuple[int, int, int, int, int]]:
+    """(index, first, second, first_sign, second_sign) per loop: the bands at word
+    positions first < second, both joining disks index and index + 1."""
     positions: dict[int, list[int]] = {}
     for pos, v in enumerate(word.letters):
         positions.setdefault(abs(v), []).append(pos)
@@ -109,7 +102,7 @@ def _basis_loops(word: BraidWord) -> list[_Loop]:
         for a, b in zip(occ, occ[1:]):
             sa = 1 if word.letters[a] > 0 else -1
             sb = 1 if word.letters[b] > 0 else -1
-            loops.append(_Loop(index, a, b, sa, sb))
+            loops.append((index, a, b, sa, sb))
     return loops
 
 
@@ -124,24 +117,22 @@ def seifert_matrix_of_braid(word: BraidWord) -> SeifertMatrix:
     n = len(loops)
     size = n + word.strands - 1 - len({abs(v) for v in word.letters})  # tubes after loops
     m = [[0] * size for _ in range(size)]
-    for r, u in enumerate(loops):
-        m[r][r] = -(u.first_sign + u.second_sign) // 2
-    for r in range(n):
+    for r, (index, first, second, first_sign, second_sign) in enumerate(loops):
+        m[r][r] = -(first_sign + second_sign) // 2
         for s in range(r + 1, n):
-            u, v = loops[r], loops[s]
-            if u.index == v.index:
+            v_index, v_first, v_second, _, _ = loops[s]
+            if v_index == index:
                 # consecutive loops share a band; others are disjoint
-                if u.second == v.first:
-                    e = u.second_sign
-                    m[r][s] = (e + 1) // 2
-                    m[s][r] = (e - 1) // 2
-            elif v.index == u.index + 1:
-                # loops are sorted by index, so u is the left-index loop
-                if u.first < v.first < u.second < v.second:
+                if second == v_first:
+                    m[r][s] = (second_sign + 1) // 2
+                    m[s][r] = (second_sign - 1) // 2
+            elif v_index == index + 1:
+                # loops are sorted by index, so loop r is the left-index loop
+                if first < v_first < second < v_second:
                     m[r][s] = 1
-                elif v.first < u.first < v.second < u.second:
+                elif v_first < first < v_second < second:
                     m[r][s] = -1
-    return SeifertMatrix.from_lists(m)
+    return SeifertMatrix(tuple(map(tuple, m)))
 
 
 def seifert_matrix_of_plumbing(half_twists: Sequence[int]) -> SeifertMatrix:
@@ -155,7 +146,7 @@ def seifert_matrix_of_plumbing(half_twists: Sequence[int]) -> SeifertMatrix:
         m[i][i] = -a // 2
     for i in range(n - 1):
         m[i][i + 1] = 1
-    return SeifertMatrix.from_lists(m)
+    return SeifertMatrix(tuple(map(tuple, m)))
 
 
 def alexander_of_braid(word: BraidWord) -> LaurentPolynomial:

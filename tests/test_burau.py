@@ -4,17 +4,19 @@ import pytest
 
 from knotsum.braid import BraidWord, closure_data
 from knotsum.burau import alexander_via_burau, reduced_burau
-from knotsum.laurent import ONE, T, ZERO, LaurentPolynomial
+from knotsum.laurent import ONE, ZERO, LaurentPolynomial
 from knotsum.seifert import alexander_of_braid
 
 from corpus import random_braid_words, random_knot_words
 
+T = LaurentPolynomial.from_coeffs(1, (1,))  # t
+
 
 def test_letter_matrix_two_strands():
     m = reduced_burau(BraidWord(2, (1,)))
-    assert m == [[LaurentPolynomial.monomial(1, -1)]]
+    assert m == [[LaurentPolynomial.from_coeffs(1, (-1,))]]
     minv = reduced_burau(BraidWord(2, (-1,)))
-    assert minv == [[LaurentPolynomial.monomial(-1, -1)]]
+    assert minv == [[LaurentPolynomial.from_coeffs(-1, (-1,))]]
     with pytest.raises(ValueError):
         reduced_burau(BraidWord(2, (2,)))
 
@@ -82,7 +84,7 @@ def _letter_matrix(v, strands):
     size = strands - 1
     m = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
     i = abs(v) - 1
-    tinv = LaurentPolynomial.monomial(-1)
+    tinv = LaurentPolynomial.from_coeffs(-1, (1,))
     column = (T, -T, ONE) if v > 0 else (ONE, -tinv, tinv)
     for k, entry in zip((i - 1, i, i + 1), column):
         if 0 <= k < size:

@@ -224,6 +224,19 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_a_letter_too_large_for_a_strand_count_is_a_usage_error(capsys):
+    # 2^63 and above fail before anything is allocated for the strands
+    for letter in (str(2**63), "99999999999999999999"):
+        for args in (
+            ("invariants", letter),
+            ("unknot-set", letter),
+            ("verify-triple", f"1 {letter}", "--at", "1", "--expect", "unknot,unknot,unknot"),
+        ):
+            code, out, err = run(capsys, *args)
+            assert (code, out) == (2, "") and err.startswith("error: "), args
+            assert err.count("\n") == 1, args
+
+
 def test_error_messages_name_the_problem(capsys):
     _, _, err = run(capsys, "dm-bounds", "3_1", "3_1", "9_99")
     assert "9_99" in err

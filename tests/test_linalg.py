@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from knotsum import linalg
 from knotsum.braid import BraidWord, closure_data
-from knotsum.laurent import ONE, T, ZERO, LaurentPolynomial
+from knotsum.laurent import ONE, ZERO, LaurentPolynomial
 from knotsum.linalg import (
     balanced_digits,
     bareiss_determinant,
@@ -17,6 +17,8 @@ from knotsum.linalg import (
     symmetric_signature,
 )
 from knotsum.seifert import seifert_matrix_of_braid
+
+T = LaurentPolynomial.from_coeffs(1, (1,))  # t
 
 
 def _cofactor_det(m, one=1):
@@ -306,7 +308,7 @@ def test_kernel_matches_minor_expansion_over_laurent_polynomials():
         assert laurent_matrix_determinant(m) == expected, m
         if n > 1 and trial % 5 == 0:
             assert expected == ZERO
-    p, q = T + ONE, T - LaurentPolynomial.monomial(-1)
+    p, q = T + ONE, T - LaurentPolynomial.from_coeffs(-1, (1,))
     # a zero pivot at step 0: row 1 swaps in
     swap = [[ZERO, p, ONE], [q, ONE, ZERO], [ONE, ZERO, p]]
     # row 3 is updated at step 0, then sits out steps 1 and 2

@@ -71,11 +71,13 @@ def test_matches_stops_at_the_first_miss():
     # 5_1 shares the determinant 5 with 4_1; |signature| 4 against 0 ends it
     cinquefoil = BraidInvariants(BraidWord(2, (1,) * 5))
     assert not cinquefoil.matches(figure_eight)
-    assert "signature" in vars(cinquefoil) and "alexander" not in vars(cinquefoil)
-    # determinant 3 against 5: neither later invariant is computed
+    caches = vars(cinquefoil.matrix)
+    assert "_symmetric_form" in caches and "_alexander" not in caches
+    # determinant 3 against 5: the pencil is never evaluated (the signature
+    # comes from the elimination that gave the determinant, so it is known)
     trefoil = BraidInvariants(BraidWord(2, (1, 1, 1)))
     assert not trefoil.matches(figure_eight)
-    assert "signature" not in vars(trefoil) and "alexander" not in vars(trefoil)
+    assert "_alexander" not in vars(trefoil.matrix)
     assert trefoil.matches(lookup("3_1").profile.fingerprint())
     assert BraidInvariants(BraidWord(2, (-1, -1, -1))).matches(lookup("3_1").profile.fingerprint())
     # a link misses on components before its Seifert matrix is built
@@ -90,8 +92,8 @@ def test_split_closure_profile():
     assert p.components == 2
     assert not p.is_knot
     # the record's determinant is the profile's |alexander(-1)| = 0 too
-    assert BraidInvariants(BraidWord(3, (1, 1, 1))).determinant == 0
-    assert BraidInvariants(BraidWord(3, ())).determinant == 0
+    assert BraidInvariants(BraidWord(3, (1, 1, 1))).matrix.determinant_invariant() == 0
+    assert BraidInvariants(BraidWord(3, ())).matrix.determinant_invariant() == 0
 
 
 def test_every_record_matches_its_own_fingerprint():
@@ -147,14 +149,19 @@ def test_profile_of_braid_builds_one_seifert_matrix(monkeypatch):
 
 
 def test_each_seifert_form_is_eliminated_once(monkeypatch):
-    eliminate = linalg._eliminate
-    runs = []
+    eliminate, pencil = linalg._eliminate, seifert.pencil_determinant
+    runs, pencils = [], []
 
     def counting(matrix, symmetric):
         runs.append((tuple(map(tuple, matrix)), symmetric))
         return eliminate(matrix, symmetric)
 
+    def counting_pencil(a, b):
+        pencils.append(a)
+        return pencil(a, b)
+
     monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(seifert, "pencil_determinant", counting_pencil)
     # knots, links and split closures (unused generators) alike
     words = [w for w in random_braid_words(21, 200, max_strands=7, max_letters=20)
              if seifert.seifert_matrix_of_braid(w).size]
@@ -163,13 +170,17 @@ def test_each_seifert_form_is_eliminated_once(monkeypatch):
         alexander, signature, determinant, components = key
         record = BraidInvariants(word)
         runs.clear()
-        # a miss at components or |signature|, then a full match, then the profile
+        pencils.clear()
+        # a miss at components or |signature|, then a full match, then the
+        # profile and the matrix's own Alexander polynomial
         wrong_signature = (alexander, signature + 2, determinant, components)
         for probe in (UNKNOT_PROFILE_KEY, wrong_signature, key):
             record.matches(probe)
         assert record.profile(word).fingerprint() == key
+        assert record.matrix.alexander() == alexander
         form = record.matrix.symmetrized()
         assert [symmetric for matrix, symmetric in runs if matrix == form] == [True], word
+        assert pencils == [record.matrix.rows], word
 
 
 def test_identify():

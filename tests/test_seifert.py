@@ -13,14 +13,15 @@ from knotsum.seifert import (
     seifert_matrix_of_braid,
     seifert_matrix_of_plumbing,
 )
+from knotsum.surgery import TripleBudget, search_triples
 
 from corpus import random_braid_words, random_knot_words
 
 
 def test_matrix_validation_and_views():
     with pytest.raises(ValueError):
-        SeifertMatrix.from_lists([[1, 2]])
-    m = SeifertMatrix.from_lists([[-1, 1], [0, -1]])
+        SeifertMatrix(((1, 2),))
+    m = SeifertMatrix(((-1, 1), (0, -1)))
     assert m.size == 2
     assert tuple(zip(*m.rows)) == ((-1, 0), (1, -1))
     assert m.symmetrized() == ((-2, 1), (1, -2))
@@ -102,7 +103,7 @@ def test_dual_route_agreement_on_random_words():
 def test_basis_loops_are_sorted_by_index_then_position():
     # seifert_matrix_of_braid fills only the (lower index, higher index) slot
     for w in random_knot_words(9241, 40) + random_braid_words(8120, 40):
-        keys = [(loop.index, loop.first) for loop in _basis_loops(w)]
+        keys = [loop[:2] for loop in _basis_loops(w)]  # (index, first position)
         assert keys == sorted(keys), w
 
 
@@ -172,7 +173,7 @@ def test_murasugi_sum_is_block_triangular_and_fixes_the_alexander_extremes():
     # (index k, index k + 1) slot couples the two sides. Then
     # det(V - t*V^T) has t^0 and t^(a+b) coefficients +-det V(inner)*det V(outer).
     rng = random.Random(4001)
-    nonzero = 0
+    sums = []
     for _ in range(300):
         s1 = rng.randint(2, 6)
         s2 = rng.randint(2, 12 - s1)
@@ -181,7 +182,18 @@ def test_murasugi_sum_is_block_triangular_and_fixes_the_alexander_extremes():
         w2 = _connected_word(rng, s2, rng.randint(s2 - 1, 20), homogeneous)
         shuffle = [0] * len(w1.letters) + [1] * len(w2.letters)
         rng.shuffle(shuffle)
-        composite = murasugi_concat(w1, w2, shuffle).word
+        sums.append((w1, w2, murasugi_concat(w1, w2, shuffle).word))
+    # the triple search's own witnesses: all 960 of the 7-letter search, and
+    # the 376 of four triples at the default budget, 40 of them with d != 0
+    witnesses = search_triples(("unknot", "unknot", "3_1"), TripleBudget(7, 4))
+    assert len(witnesses) == 960
+    for names in (("unknot", "unknot", "3_1"), ("unknot", "3_1", "3_1"),
+                  ("unknot", "unknot", "4_1"), ("3_1", "3_1", "5_1")):
+        witnesses += search_triples(names, TripleBudget())
+    assert len(witnesses) == 960 + 376
+    sums += [(w.inner_word, w.outer_word, w.composite.word) for w in witnesses]
+    nonzero = 0
+    for w1, w2, composite in sums:
         inner, outer = seifert_matrix_of_braid(w1), seifert_matrix_of_braid(w2)
         a, b = inner.size, outer.size
         v = seifert_matrix_of_braid(composite).rows
@@ -197,4 +209,4 @@ def test_murasugi_sum_is_block_triangular_and_fixes_the_alexander_extremes():
             assert abs(delta.coeffs[0]) == abs(delta.coeffs[-1]) == abs(d), composite
         else:
             assert span <= a + b - 2, composite
-    assert nonzero >= 100
+    assert nonzero == 145 + 40  # random sums, then witnesses

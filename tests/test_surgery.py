@@ -223,7 +223,10 @@ def test_pool_rejects_on_signature():
     # 3_1 or the unknot; the 5_1 class fails only on |signature|
     memo = surgery.ClassMemo()
     assert surgery._pool("4_1", 2, 5, memo) == []
-    assert any(vars(record).get("determinant") == 5 for record in memo._classes.values())
+    forms = [vars(record.matrix) for record in memo._classes.values() if "matrix" in vars(record)]
+    assert any(abs(form["_symmetric_form"][1]) == 5 for form in forms)
+    # every miss came before the Alexander polynomial: no pencil was evaluated
+    assert not any("_alexander" in form for form in forms)
     pool = surgery._pool("5_1", 2, 5, memo)
     assert [word for word, _ in pool] == [BraidWord(2, (-1,) * 5), BraidWord(2, (1,) * 5)]
     # each word comes with the class record it matched
