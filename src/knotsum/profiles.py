@@ -3,8 +3,13 @@
 A profile is the unit of comparison everywhere else: boundary
 identification for plumbings, connected-sum certification for distance
 bounds, and witness checking for the triple search all reduce to
-comparing profiles. Profiles are computed through the Seifert-matrix
-route; the Burau route stays an independent oracle for the test suite.
+comparing profiles. The signature and determinant always come from the
+Seifert matrix. A braid's Alexander polynomial comes from whichever route
+is cheaper for the word's shape: the reduced Burau route for long words on
+few strands, the Seifert pencil det(V - t*V^T) otherwise. A plumbing has no
+braid, so its profile always takes the pencil. On a Burau-routed word every
+profile still checks |Delta(-1)| against the surface's det(V + V^T), two
+independent routes.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .braid import BraidWord, closure_data, free_reduce
+from .burau import alexander_via_burau
 from .laurent import LaurentPolynomial
 from .seifert import SeifertMatrix, seifert_matrix_of_braid
 
@@ -78,10 +84,26 @@ def canonical_genus_bound(word: BraidWord, components: int) -> int:
     return max(0, genus2) // 2
 
 
+def _takes_burau_route(word: BraidWord) -> bool:
+    """Whether the closure's Alexander polynomial is cheaper by Burau than by the pencil.
+
+    The pencil det(V - t*V^T) has about one row per letter, and its integers
+    widen with the word, so its cost grows about 34x per doubling of the
+    word. Burau's cost grows with the strands: a product and a determinant
+    on (strands - 1)^2 entries. Timed per word on 2-40 strands and up to 256
+    letters, Burau wins from about 6 * (strands - 1) letters on few strands,
+    and from more as the strands grow; the quadratic term keeps the rule on
+    the pencil's side of that curve (12 letters on 3 strands, 152 on 20, none
+    of up to 256 letters on 32 or more).
+    """
+    return 8 * len(word.letters) >= (word.strands - 1) * (word.strands + 44)
+
+
 class BraidInvariants:
     """One braid closure: its components, its lazy Seifert matrix, which caches the
-    exact invariants, and its per-word profiles. Every invariant but the genus
-    bound is fixed on a conjugacy class, so one record serves the whole class.
+    signature and determinant, its Alexander polynomial, by the route the word's
+    shape picks, and its per-word profiles. Every invariant but the genus bound is
+    fixed on a conjugacy class, so one record serves the whole class.
     """
 
     def __init__(self, word: BraidWord) -> None:
@@ -94,19 +116,26 @@ class BraidInvariants:
     def matrix(self) -> SeifertMatrix:
         return seifert_matrix_of_braid(self.word)
 
+    @cached_property
+    def alexander(self) -> LaurentPolynomial:
+        """Normalized Alexander polynomial, computed once, by Burau or by the pencil."""
+        if _takes_burau_route(self.word):
+            return alexander_via_burau(self.word)
+        return self.matrix.alexander()
+
     def matches(self, key: tuple[LaurentPolynomial, int, int, int]) -> bool:
         """Whether the closure has this fingerprint() key.
 
-        Checks components, then the matrix's determinant, |signature| and
-        Alexander polynomial, stopping at the first miss: a link builds no
-        matrix, and a miss before the Alexander polynomial evaluates no pencil.
+        Checks components, then the matrix's determinant and |signature|, then
+        the Alexander polynomial, stopping at the first miss: a link builds no
+        matrix, and a miss before the Alexander polynomial computes none.
         """
         alexander, signature, determinant, components = key
         return (
             self.components == components
             and self.matrix.determinant_invariant() == determinant
             and abs(self.matrix.signature()) == signature
-            and self.matrix.alexander() == alexander
+            and self.alexander == alexander
         )
 
     def profile(self, word: BraidWord) -> InvariantProfile:
@@ -115,15 +144,18 @@ class BraidInvariants:
         profile = self._profiles.get(word)
         if profile is None:
             profile = self._profiles[word] = _profile(
-                self.matrix, canonical_genus_bound(word, self.components), self.components
+                self.matrix, self.alexander,
+                canonical_genus_bound(word, self.components), self.components,
             )
         return profile
 
 
-def _profile(matrix: SeifertMatrix, genus_bound: int, components: int) -> InvariantProfile:
-    """The matrix's profile; InvariantProfile checks det(V + V^T) against det(V - t*V^T) at -1."""
+def _profile(matrix: SeifertMatrix, alexander: LaurentPolynomial, genus_bound: int,
+             components: int) -> InvariantProfile:
+    """The profile of a form with this Alexander polynomial; InvariantProfile checks
+    det(V + V^T) against it at -1."""
     return InvariantProfile(
-        alexander=matrix.alexander(),
+        alexander=alexander,
         signature=matrix.signature(),
         determinant=matrix.determinant_invariant(),
         canonical_genus_bound=genus_bound,
@@ -145,7 +177,9 @@ def profile_of_seifert_matrix(matrix: SeifertMatrix) -> InvariantProfile:
     the matrix size as the plumbing length.
     """
     components = 1 if matrix.determinant_invariant() % 2 == 1 else 2
-    return _profile(matrix, max(0, matrix.size - components + 1) // 2, components)
+    return _profile(
+        matrix, matrix.alexander(), max(0, matrix.size - components + 1) // 2, components
+    )
 
 
 def identify(p: InvariantProfile) -> list[str]:

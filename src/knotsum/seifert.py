@@ -24,11 +24,13 @@ polynomial on every word, and that sigma(closure of sigma_1^3) = -2
 fixes the global mirror convention; the test suite enforces both.
 
 A word with k unused generator indices has a canonical surface in k + 1
-pieces and closes to a split link. seifert_matrix_of_braid tubes the pieces
-together: the boundary and every linking number stay, and each tube adds
-its meridian, which bounds a disk off the surface, as a zero row and
-column after the loops. det(V - t*V^T) and det(V + V^T) then vanish by
-themselves, and the signature is the sum over the pieces.
+pieces and closes to a split link. Tubing the pieces together keeps the
+boundary and every linking number, and each tube adds its meridian, which
+bounds a disk off the surface, as a zero row and column after the loops.
+seifert_matrix_of_braid keeps one such row and column whatever k is: one
+already makes det(V - t*V^T) and det(V + V^T) vanish by themselves, the
+signature is the sum over the pieces with any number of them, and a word
+of three letters on many strands stays a matrix of a few rows.
 
 A linear plumbing of unknotted annuli with even twist counts
 [a1, ..., an] gets the n x n matrix with diagonal -ai/2 and a single +1
@@ -110,12 +112,12 @@ def seifert_matrix_of_braid(word: BraidWord) -> SeifertMatrix:
     """Seifert matrix of the closure's canonical surface, its pieces tubed together.
 
     Basis loops are ordered by (generator index, position), so the matrix
-    itself, not just its invariants, is deterministic; one zero row and
-    column per unused generator index (a tube's meridian) follow them.
+    itself, not just its invariants, is deterministic; if a generator index
+    is unused, one zero row and column (a tube's meridian) follow them.
     """
     loops = _basis_loops(word)
     n = len(loops)
-    size = n + word.strands - 1 - len({abs(v) for v in word.letters})  # tubes after loops
+    size = n + (len({abs(v) for v in word.letters}) < word.strands - 1)  # a tube after loops
     m = [[0] * size for _ in range(size)]
     for r, (index, first, second, first_sign, second_sign) in enumerate(loops):
         m[r][r] = -(first_sign + second_sign) // 2

@@ -1,10 +1,13 @@
 import random
+import time
+from math import gcd
 
 import pytest
 
 from knotsum import linalg, profiles, seifert
 from knotsum.braid import BraidWord, murasugi_concat
-from knotsum.laurent import LaurentPolynomial
+from knotsum.burau import alexander_via_burau
+from knotsum.laurent import ZERO, LaurentPolynomial
 from knotsum.plumbing import PlumbingWord, boundary_profile
 from knotsum.profiles import (
     UNKNOT_PROFILE_KEY,
@@ -14,7 +17,7 @@ from knotsum.profiles import (
     profile_of_braid,
     profile_of_seifert_matrix,
 )
-from knotsum.seifert import seifert_matrix_of_plumbing
+from knotsum.seifert import alexander_of_braid, seifert_matrix_of_plumbing
 from knotsum.table import lookup
 
 from corpus import random_braid_words, random_knot_words
@@ -96,6 +99,17 @@ def test_split_closure_profile():
     assert BraidInvariants(BraidWord(3, ())).matrix.determinant_invariant() == 0
 
 
+def test_split_closure_on_many_strands_stays_small():
+    # 19,998 unused generators share one tube row: a dense row per tube would
+    # make the matrix 20,001 x 20,001
+    word = BraidWord(20_000, (1, 1, 1))
+    start = time.perf_counter()
+    p = profile_of_braid(word)
+    assert time.perf_counter() - start < 1
+    assert (p.alexander, p.signature, p.determinant, p.components) == (ZERO, -2, 0, 19_999)
+    assert BraidInvariants(word).matrix.size == 3
+
+
 def test_every_record_matches_its_own_fingerprint():
     # links included: split closures (some generator unused) among them
     rng = random.Random(5)
@@ -149,8 +163,8 @@ def test_profile_of_braid_builds_one_seifert_matrix(monkeypatch):
 
 
 def test_each_seifert_form_is_eliminated_once(monkeypatch):
-    eliminate, pencil = linalg._eliminate, seifert.pencil_determinant
-    runs, pencils = [], []
+    eliminate, pencil, burau = linalg._eliminate, seifert.pencil_determinant, alexander_via_burau
+    runs, pencils, buraus = [], [], []
 
     def counting(matrix, symmetric):
         runs.append((tuple(map(tuple, matrix)), symmetric))
@@ -160,27 +174,113 @@ def test_each_seifert_form_is_eliminated_once(monkeypatch):
         pencils.append(a)
         return pencil(a, b)
 
+    def counting_burau(word):
+        buraus.append(word)
+        return burau(word)
+
     monkeypatch.setattr(linalg, "_eliminate", counting)
     monkeypatch.setattr(seifert, "pencil_determinant", counting_pencil)
-    # knots, links and split closures (unused generators) alike
+    monkeypatch.setattr(profiles, "alexander_via_burau", counting_burau)
+    # knots, links and split closures (unused generators) alike, on both routes
     words = [w for w in random_braid_words(21, 200, max_strands=7, max_letters=20)
              if seifert.seifert_matrix_of_braid(w).size]
-    for word in words:
+    routed = [profiles._takes_burau_route(w) for w in words]
+    assert 20 < sum(routed) < len(words) - 20
+    for word, by_burau in zip(words, routed):
         key = profile_of_braid(word).fingerprint()
         alexander, signature, determinant, components = key
         record = BraidInvariants(word)
         runs.clear()
         pencils.clear()
-        # a miss at components or |signature|, then a full match, then the
-        # profile and the matrix's own Alexander polynomial
+        buraus.clear()
+        # a miss at components or |signature|, then a full match, then the profile
         wrong_signature = (alexander, signature + 2, determinant, components)
         for probe in (UNKNOT_PROFILE_KEY, wrong_signature, key):
             record.matches(probe)
         assert record.profile(word).fingerprint() == key
-        assert record.matrix.alexander() == alexander
         form = record.matrix.symmetrized()
         assert [symmetric for matrix, symmetric in runs if matrix == form] == [True], word
-        assert pencils == [record.matrix.rows], word
+        # Delta once, by the route the rule names, and no pencil on a Burau-routed record
+        assert buraus == ([word] if by_burau else []), word
+        assert pencils == ([] if by_burau else [record.matrix.rows]), word
+        assert record.matrix.alexander() == alexander
+
+
+def _t_power_minus_one(power):
+    """Coefficients of t^power - 1, lowest first."""
+    return [-1] + [0] * (power - 1) + [1]
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _over(a, b):
+    """Exact quotient a / b of coefficient lists, b with leading coefficient 1."""
+    a, quotient = list(a), [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(quotient))):
+        quotient[k] = c = a[k + len(b) - 1]
+        for j, y in enumerate(b):
+            a[k + j] -= c * y
+    assert not any(a)
+    return quotient
+
+
+def test_torus_knot_profiles_match_the_closed_form():
+    # T(p, q) = (sigma_1 ... sigma_(p-1))^q, Delta = (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1));
+    # long words on few strands, so both sides of the route rule
+    routes = set()
+    for p in range(2, 6):
+        for q in range(2, 42):
+            if gcd(p, q) != 1:
+                continue
+            word = BraidWord(p, tuple(range(1, p)) * q)
+            routes.add(profiles._takes_burau_route(word))
+            top = _times(_t_power_minus_one(p * q), _t_power_minus_one(1))
+            delta = _over(_over(top, _t_power_minus_one(p)), _t_power_minus_one(q))
+            expected = LaurentPolynomial.from_coeffs(0, delta).normalized()
+            assert profile_of_braid(word).alexander == expected, (p, q)
+    assert routes == {False, True}
+
+
+def _shaped_word(rng, strands, letters, drop):
+    """A random word of this shape; with drop, generator index `drop` never appears."""
+    alphabet = [s * i for i in range(1, strands) if i != drop for s in (1, -1)]
+    return BraidWord(strands, tuple(rng.choices(alphabet, k=letters)))
+
+
+def test_profiles_agree_with_both_routes_on_both_sides_of_the_rule():
+    # knots, links and split words at the last pencil shape and the first Burau ones
+    rng = random.Random(2323)
+    sides = {False: 0, True: 0}
+    for strands in range(2, 9):
+        first = next(n for n in range(200) if profiles._takes_burau_route(BraidWord(strands, (1,) * n)))
+        for letters in (first - 2, first - 1, first, first + 1):
+            for drop in (None, None, None, rng.randint(1, strands - 1) if strands > 2 else None):
+                word = _shaped_word(rng, strands, letters, drop)
+                sides[profiles._takes_burau_route(word)] += 1
+                delta = profile_of_braid(word).alexander
+                assert delta == alexander_of_braid(word) == alexander_via_burau(word), word
+    assert min(sides.values()) >= 50
+
+
+def test_long_words_on_five_to_twenty_strands_take_burau():
+    rng = random.Random(128256)
+    shapes = [(5, 256), (6, 128), (9, 200), (13, 160), (16, 140), (20, 160)]
+    for strands, letters in shapes:
+        word = _shaped_word(rng, strands, letters, None)
+        assert profiles._takes_burau_route(word), word
+        p = profile_of_braid(word)
+        assert p.alexander == alexander_via_burau(word), word
+        assert p.determinant == abs(p.alexander.at_minus_one()), word
+    # the surface route only where its pencil is cheap
+    for strands, letters in ((5, 128), (6, 127)):
+        word = _shaped_word(rng, strands, letters, None)
+        assert profile_of_braid(word).alexander == alexander_of_braid(word), word
 
 
 def test_identify():
