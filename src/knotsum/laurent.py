@@ -4,13 +4,12 @@ Coefficients are exact Python ints. A polynomial is stored densely, as the
 exponent `lo` of its lowest term and the tuple `coeffs` of the
 coefficients of t**lo, t**(lo + 1), ...; neither end of `coeffs` is zero,
 and the zero polynomial is (0, ()). The form is canonical, so equality and
-hashing compare fields, sums add aligned slices and trim the ends, and
-products are convolutions (a one-term factor only scales and shifts) that
-need no trim, as the product of two nonzero end coefficients is nonzero.
-This is the coefficient ring for Alexander polynomials, so the class
-carries the normalization used throughout the package: shift exponents
-so the support is balanced around zero and fix the overall sign so the
-top coefficient is positive.
+hashing compare fields. Every operation builds a plain coefficient list
+and hands it to `from_coeffs`, which trims it to that form. This is the
+coefficient ring for Alexander polynomials, so the class carries the
+normalization used throughout the package: shift exponents so the support
+is balanced around zero and fix the overall sign so the top coefficient
+is positive.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ class LaurentPolynomial:
     """Immutable Laurent polynomial with int coefficients: the sum of coeffs[i] * t**(lo + i).
 
     The constructor takes canonical fields only and raises ValueError on any
-    other; from_coeffs trims any coefficients. Arithmetic builds its
-    canonical results through _make, which skips the check.
+    other; from_coeffs trims any coefficients to them.
     """
 
     lo: int = 0
@@ -43,12 +41,7 @@ class LaurentPolynomial:
 
     @staticmethod
     def from_coeffs(lo: int, coeffs: Sequence[int]) -> "LaurentPolynomial":
-        """The polynomial sum of coeffs[i] * t**(lo + i); zeros at either end are dropped.
-
-        The one builder for outside coefficients: from_dict, parse, constant
-        and geometric_sum end here. Arithmetic builds canonical fields
-        directly, through _make.
-        """
+        """The polynomial sum of coeffs[i] * t**(lo + i); zeros at either end are dropped."""
         hi = len(coeffs)
         while hi and not coeffs[hi - 1]:
             hi -= 1
@@ -57,7 +50,7 @@ class LaurentPolynomial:
         start = 0
         while not coeffs[start]:
             start += 1
-        return _make(lo + start, tuple(coeffs[start:hi]))
+        return LaurentPolynomial(lo + start, tuple(coeffs[start:hi]))
 
     @staticmethod
     def from_dict(coeffs: Mapping[int, int]) -> "LaurentPolynomial":
@@ -83,10 +76,6 @@ class LaurentPolynomial:
         return bool(self.coeffs)
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
         if other.lo < self.lo:
             self, other = other, self
         off = other.lo - self.lo
@@ -95,53 +84,38 @@ class LaurentPolynomial:
         if end > len(out):
             out += [0] * (end - len(out))
         out[off:end] = map(add, out[off:end], other.coeffs)
-        if out[0] and out[-1]:
-            return _make(self.lo, tuple(out))
         return LaurentPolynomial.from_coeffs(self.lo, out)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return _make(self.lo, tuple([-c for c in self.coeffs]))
+        return LaurentPolynomial.from_coeffs(self.lo, [-c for c in self.coeffs])
 
     def __mul__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         if isinstance(other, int):
-            if not other:
-                return ZERO
-            if other == 1:
-                return self
-            return _make(self.lo, tuple([c * other for c in self.coeffs]))
+            return LaurentPolynomial.from_coeffs(self.lo, [c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
         if len(a) < len(b):
             a, b = b, a
-        lo = self.lo + other.lo
-        y = b[0]
-        if len(b) == 1:  # scale and shift
-            return _make(lo, a if y == 1 else tuple([x * y for x in a]))
         na = len(a)
-        out = [x * y for x in a] + [0] * (len(b) - 1)
-        for j in range(1, len(b)):
-            y = b[j]
+        out = [0] * (na + len(b) - 1)
+        for j, y in enumerate(b):
             if y:
                 out[j : j + na] = map(add, out[j : j + na], [x * y for x in a])
-        return _make(lo, tuple(out))
+        return LaurentPolynomial.from_coeffs(self.lo + other.lo, out)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t**k."""
-        if not k or not self.coeffs:
+        if not k:
             return self
-        return _make(self.lo + k, self.coeffs)
+        return LaurentPolynomial.from_coeffs(self.lo + k, self.coeffs)
 
     def mirror(self) -> "LaurentPolynomial":
         """Substitute t -> 1/t."""
-        if not self.coeffs:
-            return self
-        return _make(1 - self.lo - len(self.coeffs), self.coeffs[::-1])
+        return LaurentPolynomial.from_coeffs(1 - self.lo - len(self.coeffs), self.coeffs[::-1])
 
     def at_minus_one(self) -> int:
         value = sum(self.coeffs[::2]) - sum(self.coeffs[1::2])
@@ -157,9 +131,7 @@ class LaurentPolynomial:
         quotient's exponents run from self's lowest minus the divisor's lowest
         to self's highest minus the divisor's highest, so the loop visits each
         exponent of that span once, and whatever is left below it is the
-        remainder. An exact quotient needs no trim: its top is self's top
-        over the divisor's lead, and its bottom times the divisor's bottom is
-        self's bottom.
+        remainder.
         """
         d = divisor.coeffs
         if not d:
@@ -185,7 +157,7 @@ class LaurentPolynomial:
                     rem[k + j] -= q * c
         if any(rem[:width]):
             raise ValueError("inexact polynomial division")
-        return _make(self.lo - divisor.lo, tuple(quot))
+        return LaurentPolynomial.from_coeffs(self.lo - divisor.lo, quot)
 
     def normalized(self) -> "LaurentPolynomial":
         """Balance the support around exponent 0 and make the top coefficient positive.
@@ -236,19 +208,6 @@ class LaurentPolynomial:
         for sign, body in bits[1:]:
             out += f" {sign} {body}"
         return out
-
-
-_new = object.__new__
-_set_lo = LaurentPolynomial.lo.__set__
-_set_coeffs = LaurentPolynomial.coeffs.__set__
-
-
-def _make(lo: int, coeffs: tuple[int, ...]) -> LaurentPolynomial:
-    """The polynomial with these fields, which must already be canonical (unchecked)."""
-    p = _new(LaurentPolynomial)
-    _set_lo(p, lo)
-    _set_coeffs(p, coeffs)
-    return p
 
 
 ZERO = LaurentPolynomial()

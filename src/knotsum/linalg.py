@@ -11,15 +11,18 @@ itself, so fill stays inside the rows' skyline. On a matrix of bandwidth
 b that is O(n*b^2) integer operations plus O(n^2) zero tests (row ends,
 pivot columns), against O(n^3) dense.
 
-Polynomial determinants, of matrix pencils A + t*B and of matrices of
-Laurent polynomials, run the integer kernel once, at t = 2^B (Kronecker
-substitution). B comes from Hadamard's bound on the coefficients of the
-determinant, so the integer holds them as balanced base-2^B digits, which
-`balanced_digits`, the one decoder, reads back with no interpolation.
-Pencils are eliminated on a reverse Cuthill-McKee order (Cuthill & McKee
-1969) that gives the sparse Seifert pencils a small bandwidth. A symmetric
-form's signature and determinant are read off one run's pivots (Sylvester's
-law of inertia). No floating point is used anywhere in the package.
+Polynomial determinants run the integer kernel once, at t = 2^B (Kronecker
+substitution), behind one front end, `kronecker_determinant`, which takes
+the matrix as a list of nonzero entries, each a coefficient list: pencils
+A + t*B (the Seifert route), the Burau route's B - I, and matrices of
+`LaurentPolynomial`s. B comes from Hadamard's bound on the coefficients of
+the determinant, so the integer holds them as balanced base-2^B digits,
+which `balanced_digits`, the one decoder, reads back with no
+interpolation. Pencils are eliminated on a reverse Cuthill-McKee order
+(Cuthill & McKee 1969) that gives the sparse Seifert pencils a small
+bandwidth. A symmetric form's signature and determinant are read off one
+run's pivots (Sylvester's law of inertia). No floating point is used
+anywhere in the package.
 """
 
 from __future__ import annotations
@@ -182,12 +185,13 @@ def _reverse_cuthill_mckee(pattern: list[list[int]]) -> list[int]:
     return order
 
 
-def _kronecker_determinant(
+def kronecker_determinant(
     n: int, entries: Sequence[tuple[int, int, int, Sequence[int]]]
 ) -> LaurentPolynomial:
     """Determinant of the n x n matrix whose nonzero (i, j) entry is sum(c[k] * t**(lo + k)).
 
-    Each entry comes as (i, j, lo, c); c may have zeros at either end. Row i
+    Each entry comes as (i, j, lo, c); c may have zeros at either end, but
+    zeros at its low end lower the row's shift and widen the ints. Row i
     is shifted by its lowest exponent, which multiplies the determinant by
     a known power of t and leaves a polynomial D. On |t| = 1 Hadamard's
     inequality gives |D(t)| <= C = prod_i sqrt(sum_j ||m_ij||_1^2), and each
@@ -228,7 +232,7 @@ def pencil_determinant(
 ) -> LaurentPolynomial:
     """det(A + t*B) for integer matrices A, B, as an exact polynomial in t.
 
-    One integer Bareiss run at t = 2^B (`_kronecker_determinant`), on the
+    One integer Bareiss run at t = 2^B (`kronecker_determinant`), on the
     reverse Cuthill-McKee order of the joint nonzero pattern of A and B
     (the same permutation of rows and columns leaves det unchanged), which
     keeps the sparse Seifert pencils banded: O(n*b^2) multiplications of
@@ -248,7 +252,7 @@ def pencil_determinant(
     for new, old in enumerate(order):
         where[old] = new
     entries = [(where[i], where[j], 0, (a[i][j], b[i][j])) for i in cols for j in pattern[i]]
-    return _kronecker_determinant(n, entries)
+    return kronecker_determinant(n, entries)
 
 
 def laurent_matrix_determinant(
@@ -256,17 +260,16 @@ def laurent_matrix_determinant(
 ) -> LaurentPolynomial:
     """Determinant of a square Laurent-polynomial matrix.
 
-    One integer Bareiss run at t = 2^B (`_kronecker_determinant`) on the
+    One integer Bareiss run at t = 2^B (`kronecker_determinant`) on the
     nonzero entries: the ring arithmetic of Z[t, t^-1] becomes big-int
-    arithmetic, and no polynomial is multiplied or divided. An n-strand
-    reduced Burau matrix is (n-1) x (n-1).
+    arithmetic, and no polynomial is multiplied or divided.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     entries = [(i, j, p.lo, p.coeffs) for i, row in enumerate(matrix)
                for j, p in enumerate(row) if p]
-    return _kronecker_determinant(n, entries)
+    return kronecker_determinant(n, entries)
 
 
 def symmetric_form(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:

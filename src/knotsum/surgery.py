@@ -215,10 +215,13 @@ def verify_triple(
     """Split at k and check all three closures against the expected names.
 
     Failures are reported as data, never raised. The first expected name
-    is the outer split, the second the inner, the third the composite.
+    is the outer split, the second the inner, the third the composite; any
+    other number of names is a "names" failure.
     This is the check for a word from outside; search_triples builds its
     witnesses from the checks its pools and prefilter already ran.
     """
+    if len(expected) != 3:
+        return TripleFailure("names", f"expected 3 knot names, got {len(expected)}")
     table = load_table()
     for name in expected:
         if name not in table:

@@ -5,6 +5,7 @@ import pytest
 from knotsum.braid import BraidWord, closure_data
 from knotsum.burau import alexander_via_burau, reduced_burau
 from knotsum.laurent import ONE, ZERO, LaurentPolynomial
+from knotsum.linalg import balanced_digits
 from knotsum.seifert import alexander_of_braid
 
 from corpus import random_braid_words, random_knot_words
@@ -12,10 +13,17 @@ from corpus import random_braid_words, random_knot_words
 T = LaurentPolynomial.from_coeffs(1, (1,))  # t
 
 
+def _product(word):
+    # the packed product (B, lo, columns) decoded into its matrix of polynomials
+    bits, lo, columns = reduced_burau(word)
+    return [[LaurentPolynomial.from_coeffs(low, balanced_digits(x, bits))
+             for low, x in zip(lo, row)] for row in zip(*columns)]
+
+
 def test_letter_matrix_two_strands():
-    m = reduced_burau(BraidWord(2, (1,)))
+    m = _product(BraidWord(2, (1,)))
     assert m == [[LaurentPolynomial.from_coeffs(1, (-1,))]]
-    minv = reduced_burau(BraidWord(2, (-1,)))
+    minv = _product(BraidWord(2, (-1,)))
     assert minv == [[LaurentPolynomial.from_coeffs(-1, (-1,))]]
     with pytest.raises(ValueError):
         reduced_burau(BraidWord(2, (2,)))
@@ -25,11 +33,11 @@ def test_letter_inverse_pairs_cancel():
     for strands in (2, 3, 4):
         for index in range(1, strands):
             w = BraidWord(strands, (index, -index))
-            assert reduced_burau(w) == reduced_burau(BraidWord(strands, ()))
+            assert _product(w) == _product(BraidWord(strands, ()))
 
 
 def test_reduced_burau_of_empty_word_is_identity():
-    m = reduced_burau(BraidWord(4, ()))
+    m = _product(BraidWord(4, ()))
     for i in range(3):
         for j in range(3):
             assert m[i][j] == (ONE if i == j else ZERO)
@@ -113,21 +121,23 @@ def test_column_updates_equal_the_dense_product():
         alphabet = [s * i for i in range(1, strands) for s in (1, -1)]
         for length in (rng.randint(1, 8), rng.randint(9, 16)):
             word = BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
-            assert reduced_burau(word) == _dense_product(word), word
+            assert _product(word) == _dense_product(word), word
 
 
 @pytest.mark.parametrize("k, width", [(10, 11), (20, 24), (40, 52)])
 def test_packed_product_is_exact_on_wide_coefficients(k, width):
     # (s1 s2^-1)^k has coefficients of `width` bits; the packed product
-    # must decode every one of them exactly
+    # must decode every one of them exactly, and so must its packed B - I,
+    # as the closure is a knot for k not divisible by 3
     word = BraidWord(3, (1, -2) * k)
-    product = reduced_burau(word)
+    product = _product(word)
     assert product == _dense_product(word)
     assert max(abs(c).bit_length() for row in product for p in row for c in p.coeffs) == width
+    assert alexander_via_burau(word) == alexander_of_braid(word)
 
 
 def test_reduced_burau_on_one_strand_is_empty():
-    assert reduced_burau(BraidWord(1, ())) == []
+    assert _product(BraidWord(1, ())) == []
 
 
 def _wide_knot_word(rng, strands):
@@ -184,3 +194,24 @@ def test_dual_routes_agree_on_knot_words_past_twenty_strands():
     assert all(100 <= len(w.letters) <= 120 for w in words)
     mismatches = [w for w in words if alexander_of_braid(w) != alexander_via_burau(w)]
     assert not mismatches, mismatches[:3]
+
+
+def test_burau_route_builds_a_few_polynomials_per_word(monkeypatch):
+    # B - I goes to the determinant as packed ints, never as (n-1)^2
+    # polynomials, so a word builds the same few polynomials on any strands
+    built = []
+    check = LaurentPolynomial.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    rng = random.Random(1018)
+    words = [_wide_knot_word(rng, strands) for strands in range(10, 19)]
+    monkeypatch.setattr(LaurentPolynomial, "__post_init__", counting)
+    counts = []
+    for w in words:
+        built.clear()
+        alexander_via_burau(w)
+        counts.append(len(built))
+    assert max(counts) <= 5, counts

@@ -140,6 +140,17 @@ def test_verify_triple_failures():
     assert "stage" in bad_names.serialize()
 
 
+def test_verify_triple_needs_exactly_three_names():
+    # with two names the composite went unchecked, and with four, zip
+    # dropped the fourth from the check but not from the witness
+    word = BraidWord(3, (1, 1, 1, 2))
+    for names in (("unknot", "3_1"), ("unknot", "3_1", "3_1", "5_2")):
+        assert verify_triple(word, 1, names) == TripleFailure(
+            "names", f"expected 3 knot names, got {len(names)}"
+        )
+    assert isinstance(verify_triple(word, 1, ("unknot", "3_1", "3_1")), TripleWitness)
+
+
 def test_verify_triple_degenerate_word():
     # an empty word that splits is on at least 3 strands, so its closure
     # and both splits are unlinks: it witnesses no triple of knots
