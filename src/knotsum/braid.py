@@ -232,32 +232,38 @@ def _free_reduced(letters: Sequence[int]) -> list[int]:
     return stack
 
 
-def free_reduce(word: BraidWord) -> BraidWord:
-    """Delete adjacent inverse pairs until none remain."""
-    return BraidWord(word.strands, tuple(_free_reduced(word.letters)))
+def cyclic_reduction(letters: Sequence[int]) -> tuple[int, ...]:
+    """The letters with adjacent inverse pairs deleted until none remain, then
+    x ... x^-1 pairs stripped from the two ends.
 
-
-def conjugacy_key(strands: int, letters: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(strands, least rotation of the cyclically reduced word or its flip).
-
-    Free reduction, stripping an x ... x^-1 pair from the two ends,
-    rotation, and the flip sigma_i -> sigma_(n-i) (conjugation by the half
-    twist) each replace the braid by a conjugate. Words with one key
-    therefore have one closure (Markov's theorem), and every link
-    invariant can be keyed by it. Different keys may still be conjugate.
-    Takes bare letters so a caller can key a word before building it.
+    Both moves replace the braid by a conjugate on the same strands, so the
+    result closes to the same link; it is what conjugacy_key rotates and flips.
     """
     reduced = _free_reduced(letters)
     lo, hi = 0, len(reduced)
     while hi - lo > 1 and reduced[lo] == -reduced[hi - 1]:
         lo += 1
         hi -= 1
-    cyclic = tuple(reduced[lo:hi])
+    return tuple(reduced[lo:hi])
+
+
+def cyclic_conjugates(strands: int, cyclic: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every rotation of a cyclically reduced word and of its flip
+    sigma_i -> sigma_(n-i) (conjugation by the half twist); these are
+    cyclically reduced too, and have one conjugacy_key."""
     flipped = tuple([strands - v if v > 0 else -strands - v for v in cyclic])
-    n = len(cyclic)
-    first = min(cyclic + flipped, default=0)  # the least rotation starts here
-    return strands, min(
-        [w[i:i + n] for w in (cyclic + cyclic, flipped + flipped) for i in range(n)
-         if w[i] == first],
-        default=(),
-    )
+    return [w[i:] + w[:i] for w in (cyclic, flipped) for i in range(len(w))] or [()]
+
+
+def conjugacy_key(strands: int, letters: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(strands, least of the cyclic_conjugates of the word's cyclic_reduction).
+
+    Cyclic reduction, rotation, and the half-twist flip each replace the
+    braid by a conjugate. Words with one key therefore have one closure
+    (Markov's theorem), and every link invariant can be keyed by it.
+    Different keys may still be conjugate. A word and its cyclic reduction
+    have one key, so a caller that keeps the cyclic_conjugates of each key
+    needs the minimum only once per key. Takes bare letters so a caller can
+    key a word before building it.
+    """
+    return strands, min(cyclic_conjugates(strands, cyclic_reduction(letters)))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braid import BraidWord, closure_data, free_reduce
+from .braid import BraidWord, _free_reduced, closure_data
 from .burau import alexander_via_burau
 from .laurent import LaurentPolynomial
 from .seifert import SeifertMatrix, seifert_matrix_of_braid
@@ -76,11 +76,13 @@ def canonical_genus_bound(word: BraidWord, components: int) -> int:
 
     From 2g = 2s - euler_char - boundary_components with s the number of
     surface pieces. For a knot this is the usual (letters - strands + 1) / 2.
-    It depends on the word, not only on its conjugacy class.
+    It depends on the word, not only on its conjugacy class: only free
+    reduction is applied, since stripping an x ... x^-1 pair from the ends
+    of the word can change it.
     """
-    reduced = free_reduce(word)
-    pieces = reduced.strands - len({abs(v) for v in reduced.letters})
-    genus2 = 2 * pieces - (reduced.strands - len(reduced.letters)) - components
+    reduced = _free_reduced(word.letters)
+    pieces = word.strands - len({abs(v) for v in reduced})
+    genus2 = 2 * pieces - (word.strands - len(reduced)) - components
     return max(0, genus2) // 2
 
 
@@ -110,7 +112,7 @@ class BraidInvariants:
         self.word = word
         self.closure = closure_data(word)
         self.components = self.closure.components
-        self._profiles: dict[BraidWord, InvariantProfile] = {}
+        self._profiles: dict[int, InvariantProfile] = {}  # by genus bound
 
     @cached_property
     def matrix(self) -> SeifertMatrix:
@@ -139,13 +141,14 @@ class BraidInvariants:
         )
 
     def profile(self, word: BraidWord) -> InvariantProfile:
-        """Profile of a word of this record's class, built once per word; only the
-        genus bound is read off the word itself."""
-        profile = self._profiles.get(word)
+        """Profile of a word of this record's class. Only the genus bound is read
+        off the word itself, so one profile is built per genus bound and shared by
+        every word that has it."""
+        genus_bound = canonical_genus_bound(word, self.components)
+        profile = self._profiles.get(genus_bound)
         if profile is None:
-            profile = self._profiles[word] = _profile(
-                self.matrix, self.alexander,
-                canonical_genus_bound(word, self.components), self.components,
+            profile = self._profiles[genus_bound] = _profile(
+                self.matrix, self.alexander, genus_bound, self.components
             )
         return profile
 

@@ -23,6 +23,8 @@ from .braid import (
     SplitIndexError,
     closure_data,
     conjugacy_key,
+    cyclic_conjugates,
+    cyclic_reduction,
     split_braid,
 )
 from .profiles import UNKNOT_PROFILE_KEY, BraidInvariants, InvariantProfile
@@ -192,21 +194,42 @@ class TripleFailure:
 
 
 class ClassMemo:
-    """Invariants by conjugacy class; one search_triples call owns one.
+    """Invariants by conjugacy class, and each class's verdict per fingerprint
+    key; one search_triples call owns one.
 
-    Each class keeps the BraidInvariants of the representative that
-    conjugacy_key spells out.
+    A word is looked up by (strands, cyclic_reduction), which most words of a
+    search share with many others. A new class enters every one of its
+    cyclic_conjugates, so conjugacy_key's rotation-and-flip minimum runs once
+    per class, not once per cyclic word. Each class keeps the BraidInvariants
+    of the representative that conjugacy_key spells out, and the answer of
+    its BraidInvariants.matches to each key it was asked about.
     """
 
     def __init__(self) -> None:
-        self._classes: dict[tuple[int, tuple[int, ...]], BraidInvariants] = {}
+        self._words: dict[tuple[int, tuple[int, ...]], BraidInvariants] = {}
+        self._verdicts: dict[tuple, dict[BraidInvariants, bool]] = {}
 
     def of(self, strands: int, letters: Sequence[int]) -> BraidInvariants:
-        key = conjugacy_key(strands, letters)
-        invariants = self._classes.get(key)
+        cyclic = cyclic_reduction(letters)
+        invariants = self._words.get((strands, cyclic))
         if invariants is None:
-            invariants = self._classes[key] = BraidInvariants(BraidWord(*key))
+            key = conjugacy_key(strands, cyclic)
+            invariants = BraidInvariants(BraidWord(*key))
+            for conjugate in cyclic_conjugates(*key):
+                self._words[strands, conjugate] = invariants
         return invariants
+
+    def matcher(self, key: tuple) -> Callable[[BraidInvariants], bool]:
+        """invariants -> invariants.matches(key), asked once per class for this key."""
+        verdicts = self._verdicts.setdefault(key, {})
+
+        def matches(invariants: BraidInvariants) -> bool:
+            verdict = verdicts.get(invariants)
+            if verdict is None:
+                verdict = verdicts[invariants] = invariants.matches(key)
+            return verdict
+
+        return matches
 
 
 def verify_triple(
@@ -321,13 +344,14 @@ def _pool(
     strands whose closure is `name`.
 
     Each knot word's class record is checked against the name's
-    fingerprint by BraidInvariants.matches, cheapest invariant first.
+    fingerprint by BraidInvariants.matches, cheapest invariant first, once
+    per class.
     """
-    key = lookup(name).profile.fingerprint()
+    matches = memo.matcher(lookup(name).profile.fingerprint())
     return [
         (BraidWord(strands, letters), record)
         for letters in _knot_letters(strands, length)
-        if (record := memo.of(strands, letters)).matches(key)
+        if matches(record := memo.of(strands, letters))
     ]
 
 
@@ -360,13 +384,16 @@ def search_triples(
     The inner word realizes the second target name, the outer the first.
     An exhausted budget yields an empty list, not an error.
 
-    Exact invariants are memoized by conjugacy class (conjugacy_key): a
-    closure, and so every invariant, is fixed on a class. Only the genus
-    bound is computed per word. Pools hold knot words only, enumerated
+    Exact invariants are memoized by conjugacy class in one ClassMemo: a
+    closure, and so every invariant, is fixed on a class. The memo has two
+    levels. Each word is looked up by its cyclic_reduction, which thousands
+    of composites share, and conjugacy_key runs once per class. Each class
+    answers BraidInvariants.matches once per fingerprint key. Only the
+    genus bound is computed per word. Pools hold knot words only, enumerated
     with their strand permutation, so a link closure is never built. A
-    composite whose class record fails BraidInvariants.matches against the
-    third target's fingerprint is dropped before its word is built; every
-    other one is a witness, built from the records it and its parts matched.
+    composite whose class fails the third target's fingerprint is dropped
+    before its word is built; every other one is a witness, built from the
+    records it and its parts matched.
     Composites run in tiers of equal total length, shortest first, so
     `limit` stops after the first tier that reaches it with the same answer
     as the full list cut to `limit`.
@@ -377,9 +404,8 @@ def search_triples(
     name1, name2, name3 = target
     for name in target:
         lookup(name)
-    key3 = lookup(name3).profile.fingerprint()
-
     memo = ClassMemo()
+    is_name3 = memo.matcher(lookup(name3).profile.fingerprint())
     pool = functools.cache(functools.partial(_pool, memo=memo))
 
     strand_pairs = [  # the composite has s1 + s2 - 1 strands
@@ -407,7 +433,7 @@ def search_triples(
                         for shuffle in shuffles:
                             letters = shuffle(both)
                             record = memo.of(strands, letters)
-                            if record.matches(key3):
+                            if is_name3(record):
                                 word = BraidWord(strands, letters)
                                 tier.append(TripleWitness(
                                     CompositeBraid(word, k), w2, w1, target,

@@ -11,9 +11,9 @@ from knotsum.braid import (
     ShuffleError,
     SplitIndexError,
     closure_data,
+    cyclic_reduction,
     default_shuffle,
     format_braid,
-    free_reduce,
     murasugi_concat,
     parse_braid,
     split_braid,
@@ -82,12 +82,17 @@ def test_permutation_tracks_strand_images():
     assert closure_data(BraidWord(3, (1, 2))).permutation == (3, 1, 2)
 
 
-def test_free_reduce():
-    assert free_reduce(BraidWord(2, (1, -1))).letters == ()
-    assert free_reduce(BraidWord(3, (1, 2, -2, -1))).letters == ()
-    assert free_reduce(BraidWord(3, (1, -2, 2, 1))).letters == (1, 1)
+def test_cyclic_reduction():
+    # adjacent inverse pairs go until none remain
+    assert cyclic_reduction((1, -1)) == ()
+    assert cyclic_reduction((1, 2, -2, -1)) == ()
+    assert cyclic_reduction((1, -2, 2, 1)) == (1, 1)
     w = BraidWord(3, (1, 2, 1))
-    assert free_reduce(w) == w
+    assert BraidWord(w.strands, cyclic_reduction(w.letters)) == w
+    # then x ... x^-1 pairs come off the two ends, down to one letter
+    assert cyclic_reduction((2, 1, 1, -2)) == (1, 1)
+    assert cyclic_reduction((-1, 2, -2, 2, 1, 2, 1)) == (2, 1, 2)
+    assert cyclic_reduction((2, 1, -2)) == (1,)
 
 
 def test_concat_basic():
@@ -215,5 +220,6 @@ def test_concat_split_round_trip(w1, w2, rng):
 
 @given(small_words)
 @settings(max_examples=60)
-def test_free_reduce_preserves_closure_components(w):
-    assert closure_data(free_reduce(w)).components == closure_data(w).components
+def test_cyclic_reduction_preserves_closure_components(w):
+    reduced = BraidWord(w.strands, cyclic_reduction(w.letters))
+    assert closure_data(reduced).components == closure_data(w).components

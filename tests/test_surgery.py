@@ -6,7 +6,14 @@ from collections import Counter
 import pytest
 
 from knotsum import profiles, surgery
-from knotsum.braid import BraidWord, closure_data, conjugacy_key, murasugi_concat, split_braid
+from knotsum.braid import (
+    BraidWord,
+    closure_data,
+    conjugacy_key,
+    cyclic_reduction,
+    murasugi_concat,
+    split_braid,
+)
 from knotsum.profiles import UNKNOT_PROFILE_KEY, canonical_genus_bound, profile_of_braid
 from knotsum.table import match_profile
 from knotsum.surgery import (
@@ -26,7 +33,7 @@ from knotsum.surgery import (
     verify_triple,
 )
 
-from corpus import random_knot_words
+from corpus import random_braid_words, random_knot_words
 
 
 def test_twist_annulus_validation():
@@ -234,7 +241,8 @@ def test_pool_rejects_on_signature():
     # 3_1 or the unknot; the 5_1 class fails only on |signature|
     memo = surgery.ClassMemo()
     assert surgery._pool("4_1", 2, 5, memo) == []
-    forms = [vars(record.matrix) for record in memo._classes.values() if "matrix" in vars(record)]
+    records = set(memo._words.values())
+    forms = [vars(record.matrix) for record in records if "matrix" in vars(record)]
     assert any(abs(form["_symmetric_form"][1]) == 5 for form in forms)
     # every miss came before the Alexander polynomial: no pencil was evaluated
     assert not any("_alexander" in form for form in forms)
@@ -340,6 +348,56 @@ def test_class_memo_is_exact_on_conjugates():
             assert profile.canonical_genus_bound == canonical_genus_bound(variant, 1)
             genus_moved += profile.canonical_genus_bound != expected.canonical_genus_bound
     assert genus_moved
+
+
+def test_class_memo_looks_words_up_by_strands_and_cyclic_reduction():
+    # knot and link words on 2-8 strands; every variant's cyclic reduction is
+    # a rotation of the word's, or of its flip, so one memo hands back one record
+    rng = random.Random(25)
+    words = random_knot_words(251, 25, max_strands=8, max_letters=24)
+    words += random_braid_words(252, 25, max_strands=8, max_letters=24)
+    assert {closure_data(w).components == 1 for w in words} == {True, False}
+    memo = surgery.ClassMemo()
+    for word in words:
+        key = conjugacy_key(word.strands, word.letters)
+        record = memo.of(word.strands, word.letters)
+        assert record.word == BraidWord(*key)
+        for variant in [word] + _variants(word, rng):
+            n, letters = variant.strands, variant.letters
+            assert conjugacy_key(n, cyclic_reduction(letters)) == conjugacy_key(n, letters) == key
+            assert memo.of(n, letters) is record, variant
+    # the same letters close to the unknot on 3 strands, to a 2-component link on 4
+    three, four = memo.of(3, (1, 2)), memo.of(4, (1, 2))
+    assert (three.components, four.components) == (1, 2)
+    assert memo.of(3, (2, 1)) is three and memo.of(4, (2, 1)) is four
+
+
+def test_search_keys_each_class_once_and_asks_each_verdict_once(monkeypatch):
+    looked_up, keyed, asked = Counter(), Counter(), Counter()
+    of, key = surgery.ClassMemo.of, surgery.conjugacy_key
+    matches = profiles.BraidInvariants.matches
+
+    def counting_of(self, strands, letters):
+        looked_up[strands, cyclic_reduction(letters)] += 1
+        return of(self, strands, letters)
+
+    def counting_key(strands, letters):
+        keyed[strands, cyclic_reduction(letters)] += 1
+        return key(strands, letters)
+
+    def counting_matches(self, fingerprint):
+        asked[self, fingerprint] += 1
+        return matches(self, fingerprint)
+
+    monkeypatch.setattr(surgery.ClassMemo, "of", counting_of)
+    monkeypatch.setattr(surgery, "conjugacy_key", counting_key)
+    monkeypatch.setattr(profiles.BraidInvariants, "matches", counting_matches)
+    assert len(search_triples(("unknot", "unknot", "3_1"))) == 24
+    # 1,346 lookups reduce to 134 cyclic words in 20 classes; the rotation
+    # minimum runs once per class, and each class is asked about one key once
+    assert set(keyed) <= set(looked_up)
+    assert max(keyed.values()) == max(asked.values()) == 1
+    assert (sum(looked_up.values()), len(looked_up), len(keyed), len(asked)) == (1346, 134, 20, 20)
 
 
 def test_knot_letters_are_exactly_the_knot_words():
