@@ -237,7 +237,7 @@ def cyclic_reduction(letters: Sequence[int]) -> tuple[int, ...]:
     x ... x^-1 pairs stripped from the two ends.
 
     Both moves replace the braid by a conjugate on the same strands, so the
-    result closes to the same link; it is what conjugacy_key rotates and flips.
+    result closes to the same link; it is what cyclic_conjugates rotates and flips.
     """
     reduced = _free_reduced(letters)
     lo, hi = 0, len(reduced)
@@ -249,21 +249,10 @@ def cyclic_reduction(letters: Sequence[int]) -> tuple[int, ...]:
 
 def cyclic_conjugates(strands: int, cyclic: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every rotation of a cyclically reduced word and of its flip
-    sigma_i -> sigma_(n-i) (conjugation by the half twist); these are
-    cyclically reduced too, and have one conjugacy_key."""
+    sigma_i -> sigma_(n-i) (conjugation by the half twist): conjugates, so
+    every word of this orbit closes to one link (Markov's theorem), and
+    each is cyclically reduced with the same orbit. Different orbits may
+    still be conjugate. Takes bare letters so a caller can key a word
+    before building it."""
     flipped = tuple([strands - v if v > 0 else -strands - v for v in cyclic])
     return [w[i:] + w[:i] for w in (cyclic, flipped) for i in range(len(w))] or [()]
-
-
-def conjugacy_key(strands: int, letters: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(strands, least of the cyclic_conjugates of the word's cyclic_reduction).
-
-    Cyclic reduction, rotation, and the half-twist flip each replace the
-    braid by a conjugate. Words with one key therefore have one closure
-    (Markov's theorem), and every link invariant can be keyed by it.
-    Different keys may still be conjugate. A word and its cyclic reduction
-    have one key, so a caller that keeps the cyclic_conjugates of each key
-    needs the minimum only once per key. Takes bare letters so a caller can
-    key a word before building it.
-    """
-    return strands, min(cyclic_conjugates(strands, cyclic_reduction(letters)))

@@ -99,6 +99,8 @@ def _exhausted(what: str, budget, **fields) -> Report:
 def _cmd_invariants(args: argparse.Namespace) -> Report:
     text = args.word.strip()
     if text.startswith("S["):
+        if args.strands is not None:
+            raise ValueError("--strands applies to braid words only")
         word = PlumbingWord.parse(text)
         profile = boundary_profile(word)
         payload: dict = {
@@ -279,11 +281,8 @@ def _cmd_plumbing_boundary(args: argparse.Namespace) -> Report:
 def _cmd_plumbing_search(args: argparse.Namespace) -> Report:
     word = PlumbingWord.parse(args.word)
     target = lookup(args.target).profile
-    budget = SearchBudget(
-        max_length=args.max_length,
-        max_twist=args.max_twist,
-        max_states=args.max_states,
-    )
+    budget = SearchBudget(max_length=args.max_length, max_twist=args.max_twist,
+                          max_states=args.max_states)
     trace = rewrite_search(word, target, budget)
     if trace is None:
         return _exhausted("not found", budget)

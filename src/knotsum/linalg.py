@@ -156,11 +156,7 @@ def _reverse_cuthill_mckee(pattern: list[list[int]]) -> list[int]:
     Breadth-first from a vertex of least degree (a diagonal entry counts)
     in each component, visiting new neighbours by increasing degree;
     reversed, it keeps the nonzeros of the permuted matrix near the diagonal.
-    A pattern already within one step of the diagonal keeps its own order,
-    as no order is narrower.
     """
-    if all(abs(i - j) <= 1 for i, cols in enumerate(pattern) for j in cols):
-        return list(range(len(pattern)))
     neighbours = [set(cols) for cols in pattern]
     for i, cols in enumerate(pattern):
         for j in cols:

@@ -199,30 +199,30 @@ def boundary_profile(word: PlumbingWord) -> InvariantProfile:
     return profile_of_seifert_matrix(seifert_matrix_of_plumbing(word.twists))
 
 
+def _shrinks(twists: tuple[int, ...]) -> Iterator[tuple[RewriteStep, tuple[int, ...]]]:
+    """The moves that shorten bare twists by 2, keeping the boundary: removing a
+    trailing (c, 0) pair first, then merging at each interior zero from the left."""
+    n = len(twists)
+    if n >= 2 and twists[-1] == 0:
+        yield RewriteStep(RULE_UNSTABILIZE, n - 2, (twists[-2],)), twists[:-2]
+    for j in range(1, n - 1):
+        if twists[j] == 0:
+            yield RewriteStep(RULE_MERGE, j), _merged(twists, j)
+
+
 def normalize(word: PlumbingWord) -> RewriteTrace:
-    """Shrink a word to a fixpoint with no trailing (c, 0) pair and no
-    interior zero, recording each rule application.
+    """Take the first of `_shrinks` until none is left (no trailing (c, 0)
+    pair, no interior zero), recording each step.
 
     Leading or lone zeros stay put: rule 3 needs both neighbours, and no
     rule removes them directly.
     """
     steps: list[RewriteStep] = []
-    current = word
-    while True:
-        if current.size >= 2 and current.twists[-1] == 0:
-            step = RewriteStep(RULE_UNSTABILIZE, current.size - 2,
-                               (current.twists[-2],))
-        else:
-            zero = next(
-                (j for j in range(1, current.size - 1) if current.twists[j] == 0),
-                None,
-            )
-            if zero is None:
-                break
-            step = RewriteStep(RULE_MERGE, zero)
+    twists = word.twists
+    while (move := next(_shrinks(twists), None)) is not None:
+        step, twists = move
         steps.append(step)
-        current = apply_step(current, step)
-    return RewriteTrace(start=word, end=current, steps=tuple(steps))
+    return RewriteTrace(start=word, end=PlumbingWord(twists), steps=tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -245,12 +245,12 @@ class SearchBudget:
 
 def _neighbors(twists: tuple[int, ...],
                budget: SearchBudget) -> Iterator[tuple[RewriteStep, tuple[int, ...]]]:
+    """Every move from a word within the budget: `_shrinks` first, a merge
+    only when its sum fits max_twist, then rule 2 and rule 3 inverse."""
+    for step, nxt in _shrinks(twists):
+        if step.rule != RULE_MERGE or abs(nxt[step.position - 1]) <= budget.max_twist:
+            yield step, nxt
     n = len(twists)
-    if n >= 2 and twists[-1] == 0:
-        yield RewriteStep(RULE_UNSTABILIZE, n - 2, (twists[-2],)), twists[:-2]
-    for j in range(1, n - 1):
-        if twists[j] == 0 and abs(twists[j - 1] + twists[j + 1]) <= budget.max_twist:
-            yield RewriteStep(RULE_MERGE, j), _merged(twists, j)
     if n + 2 <= budget.max_length:
         # a plumbing carries even twists only: the even v with |v| <= max_twist
         evens = range(-(budget.max_twist // 2) * 2, budget.max_twist + 1, 2)

@@ -22,7 +22,6 @@ from .braid import (
     CompositeBraid,
     SplitIndexError,
     closure_data,
-    conjugacy_key,
     cyclic_conjugates,
     cyclic_reduction,
     split_braid,
@@ -198,11 +197,11 @@ class ClassMemo:
     key; one search_triples call owns one.
 
     A word is looked up by (strands, cyclic_reduction), which most words of a
-    search share with many others. A new class enters every one of its
-    cyclic_conjugates, so conjugacy_key's rotation-and-flip minimum runs once
-    per class, not once per cyclic word. Each class keeps the BraidInvariants
-    of the representative that conjugacy_key spells out, and the answer of
-    its BraidInvariants.matches to each key it was asked about.
+    search share with many others. A new cyclic word builds its orbit, the
+    cyclic_conjugates, once and enters all of it, so no other word of the
+    class builds it again. Each class keeps the BraidInvariants of its least
+    conjugate, the representative, and the answer of its
+    BraidInvariants.matches to each key it was asked about.
     """
 
     def __init__(self) -> None:
@@ -213,9 +212,9 @@ class ClassMemo:
         cyclic = cyclic_reduction(letters)
         invariants = self._words.get((strands, cyclic))
         if invariants is None:
-            key = conjugacy_key(strands, cyclic)
-            invariants = BraidInvariants(BraidWord(*key))
-            for conjugate in cyclic_conjugates(*key):
+            conjugates = cyclic_conjugates(strands, cyclic)
+            invariants = BraidInvariants(BraidWord(strands, min(conjugates)))
+            for conjugate in conjugates:
                 self._words[strands, conjugate] = invariants
         return invariants
 
@@ -387,16 +386,16 @@ def search_triples(
     Exact invariants are memoized by conjugacy class in one ClassMemo: a
     closure, and so every invariant, is fixed on a class. The memo has two
     levels. Each word is looked up by its cyclic_reduction, which thousands
-    of composites share, and conjugacy_key runs once per class. Each class
+    of composites share, and a class's orbit is built once. Each class
     answers BraidInvariants.matches once per fingerprint key. Only the
     genus bound is computed per word. Pools hold knot words only, enumerated
     with their strand permutation, so a link closure is never built. A
     composite whose class fails the third target's fingerprint is dropped
     before its word is built; every other one is a witness, built from the
     records it and its parts matched.
-    Composites run in tiers of equal total length, shortest first, so
-    `limit` stops after the first tier that reaches it with the same answer
-    as the full list cut to `limit`.
+    Composites run in tiers of equal total length, shortest first, each
+    sorted by (word, split position), so `limit` stops after the first tier
+    that reaches it with the same answer as the full list cut to `limit`.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -439,13 +438,7 @@ def search_triples(
                                     CompositeBraid(word, k), w2, w1, target,
                                     (r2.profile(w2), r1.profile(w1), record.profile(word)),
                                 ))
-        tier.sort(
-            key=lambda w: (
-                len(w.composite.word.letters),
-                w.composite.word.letters,
-                w.composite.split_index,
-            )
-        )
+        tier.sort(key=lambda w: (w.composite.word.letters, w.composite.split_index))
         witnesses.extend(tier)
         if limit is not None and len(witnesses) >= limit:
             break

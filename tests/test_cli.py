@@ -258,6 +258,15 @@ def test_error_messages_name_the_problem(capsys):
         assert run(capsys, "invariants", *args) == (2, "", f"error: {message}\n")
 
 
+def test_invariants_refuses_strands_for_a_plumbing_word(capsys):
+    # a plumbing word has no strands; the flag used to be ignored silently
+    for word in ("S[2,2]", "S[]"):
+        for fmt in ("human", "structured"):
+            assert run(capsys, "invariants", word, "--strands", "5", "--format", fmt) == (
+                2, "", "error: --strands applies to braid words only\n"
+            )
+
+
 def test_data_file_override(tmp_path, capsys):
     data = tmp_path / "d.txt"
     data.write_text("pair 3_1 5_1 d_bt 1 tighter\n")

@@ -118,6 +118,13 @@ def test_normalize_examples():
     assert normalize(PlumbingWord((0, 0))).end == PlumbingWord()
     assert normalize(PlumbingWord((2, 4, 0))).end == PlumbingWord((2,))
 
+    # a trailing (c, 0) pair goes before an interior zero, here and in the search
+    start = PlumbingWord((2, 0, 2, 0))
+    trace = normalize(start)
+    assert trace.steps == (RewriteStep(RULE_UNSTABILIZE, 2, (2,)),
+                           RewriteStep(RULE_UNSTABILIZE, 0, (2,)))
+    assert rewrite_search(start, lookup("unknot").profile).steps == trace.steps
+
 
 def test_check_profiles_builds_each_boundary_once(monkeypatch):
     seen = []

@@ -9,7 +9,7 @@ from knotsum import profiles, surgery
 from knotsum.braid import (
     BraidWord,
     closure_data,
-    conjugacy_key,
+    cyclic_conjugates,
     cyclic_reduction,
     murasugi_concat,
     split_braid,
@@ -252,6 +252,12 @@ def test_pool_rejects_on_signature():
     assert all(record is memo.of(word.strands, word.letters) for word, record in pool)
 
 
+def conjugacy_key(strands, letters):
+    """(strands, least rotation or flip of the cyclic reduction): one key per
+    conjugacy-class orbit, the word ClassMemo keeps for it."""
+    return strands, min(cyclic_conjugates(strands, cyclic_reduction(letters)))
+
+
 def test_search_triples_profiles_each_word_once(monkeypatch):
     # once per conjugacy class, in fact: the Seifert matrix is the whole
     # exact cost, and each class builds it for its representative alone
@@ -374,27 +380,27 @@ def test_class_memo_looks_words_up_by_strands_and_cyclic_reduction():
 
 def test_search_keys_each_class_once_and_asks_each_verdict_once(monkeypatch):
     looked_up, keyed, asked = Counter(), Counter(), Counter()
-    of, key = surgery.ClassMemo.of, surgery.conjugacy_key
+    of, orbit = surgery.ClassMemo.of, surgery.cyclic_conjugates
     matches = profiles.BraidInvariants.matches
 
     def counting_of(self, strands, letters):
         looked_up[strands, cyclic_reduction(letters)] += 1
         return of(self, strands, letters)
 
-    def counting_key(strands, letters):
-        keyed[strands, cyclic_reduction(letters)] += 1
-        return key(strands, letters)
+    def counting_orbit(strands, cyclic):
+        keyed[strands, cyclic_reduction(cyclic)] += 1
+        return orbit(strands, cyclic)
 
     def counting_matches(self, fingerprint):
         asked[self, fingerprint] += 1
         return matches(self, fingerprint)
 
     monkeypatch.setattr(surgery.ClassMemo, "of", counting_of)
-    monkeypatch.setattr(surgery, "conjugacy_key", counting_key)
+    monkeypatch.setattr(surgery, "cyclic_conjugates", counting_orbit)
     monkeypatch.setattr(profiles.BraidInvariants, "matches", counting_matches)
     assert len(search_triples(("unknot", "unknot", "3_1"))) == 24
-    # 1,346 lookups reduce to 134 cyclic words in 20 classes; the rotation
-    # minimum runs once per class, and each class is asked about one key once
+    # 1,346 lookups reduce to 134 cyclic words in 20 classes; each class's
+    # orbit is built once, and each class is asked about one key once
     assert set(keyed) <= set(looked_up)
     assert max(keyed.values()) == max(asked.values()) == 1
     assert (sum(looked_up.values()), len(looked_up), len(keyed), len(asked)) == (1346, 134, 20, 20)
