@@ -10,12 +10,21 @@ looks at a Seifert surface, so it serves as the independent cross-check
 for the surface-based pipeline. The product runs on ints at t = 2^B, I is
 subtracted on those ints, and each entry of B - I is decoded once, by
 `linalg.balanced_digits`, into an entry of `linalg.kronecker_determinant`.
+
+The word is first cut where the closure is a connected sum (the Murasugi
+sum along a 2-gon): at each generator it uses exactly once. The Seifert
+matrix of a connected sum is the block sum of the summands' matrices, so
+alexander(L) is the product of the summands' polynomials, and each summand
+on m strands brings its own B - I, one diagonal block of the determinant,
+and its own 1 + t + ... + t^(m-1) to divide by. A generator the word never
+uses leaves a split closure, whose polynomial is zero. The surface route
+reads the whole, uncut word, so the two routes agreeing also checks the cut.
 """
 
 from __future__ import annotations
 
 from .braid import BraidWord
-from .laurent import ONE, LaurentPolynomial, geometric_sum
+from .laurent import ONE, ZERO, LaurentPolynomial
 from .linalg import balanced_digits, kronecker_determinant
 
 
@@ -54,28 +63,62 @@ def reduced_burau(word: BraidWord) -> tuple[int, list[int], list[list[int]]]:
 def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
     """Normalized Alexander polynomial of the closure of the word.
 
-    Returns the zero polynomial for split closures (e.g. the closure of an
-    empty word on several strands).
+    One pass counts each generator's uses; if one is unused, the closure is
+    split and the zero polynomial returns before any product. The strands
+    are cut at every generator used once. Each summand of m >= 2 strands is
+    the sub-word of the letters strictly between two cuts, re-indexed from
+    1; its B - I is one diagonal block of a single determinant, the product
+    of the blocks' determinants, which is divided once by the product of the
+    summands' 1 + t + ... + t^(m-1). With no summand left, the closure is an
+    unknot. A word with no cut goes through whole, as it is.
     """
     n = word.strands
-    if n == 1:
+    uses = [0] * n  # uses[i]: letters on generator i; uses[0] stays 0
+    for v in word.letters:
+        uses[abs(v)] += 1
+    if 0 in uses[1:]:
+        return ZERO
+    cuts = [0, *(i for i in range(1, n) if uses[i] == 1), n]
+    if len(cuts) == 2:
+        summands = [word] if n > 1 else []
+    else:
+        # the letters strictly between two cuts, re-indexed from 1, kept under the lower cut
+        base = [0] * n  # base[i]: the cut below generator i
+        for lo, hi in zip(cuts, cuts[1:]):
+            base[lo + 1 : hi] = [lo] * (hi - lo - 1)
+        letters: dict[int, list[int]] = {lo: [] for lo in cuts}
+        for v in word.letters:
+            if uses[abs(v)] > 1:
+                lo = base[abs(v)]
+                letters[lo].append(v - lo if v > 0 else v + lo)
+        summands = [BraidWord(hi - lo, tuple(letters[lo]))
+                    for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+    if not summands:
         return ONE
-    bits, lo, columns = reduced_burau(word)
     entries = []
-    for j, column in enumerate(columns):
-        # column j of B - I times t^-low: B's column moved to t^low, less t^0 on the diagonal;
-        # |c| <= max(bound) < 2^(B-1) for B's coefficients, so c - 1 is a balanced digit too
-        low = min(lo[j], 0)
-        shift = (lo[j] - low) * bits
-        column = [x << shift for x in column]
-        column[j] -= 1 << (-low * bits)
-        for i, x in enumerate(column):
-            if x:  # drop the entry's zero low digits, so its lo is its lowest exponent
-                zeros = ((x & -x).bit_length() - 1) // bits
-                entries.append((i, j, low + zeros, balanced_digits(x >> (zeros * bits), bits)))
-    det = kronecker_determinant(n - 1, entries)
+    offset = 0  # the block's first row and column
+    for summand in summands:
+        bits, lo, columns = reduced_burau(summand)
+        for j, column in enumerate(columns):
+            # column j of B - I times t^-low: B's column moved to t^low, less t^0 on the diagonal;
+            # |c| <= max(bound) < 2^(B-1) for B's coefficients, so c - 1 is a balanced digit too
+            low = min(lo[j], 0)
+            shift = (lo[j] - low) * bits
+            column = [x << shift for x in column]
+            column[j] -= 1 << (-low * bits)
+            for i, x in enumerate(column):
+                if x:  # drop the entry's zero low digits, so its lo is its lowest exponent
+                    zeros = ((x & -x).bit_length() - 1) // bits
+                    entries.append((offset + i, offset + j, low + zeros,
+                                    balanced_digits(x >> (zeros * bits), bits)))
+        offset += summand.strands - 1
+    det = kronecker_determinant(offset, entries)
     if not det:
         return det
-    # multiply by (1 - t)/(1 - t^n), i.e. divide by 1 + t + ... + t^(n-1)
-    quotient = det.divide_exact(geometric_sum(n))
-    return quotient.normalized()
+    # multiply by (1 - t)/(1 - t^m) per summand, i.e. divide by the product of their
+    # 1 + t + ... + t^(m-1); multiplying by one is a window sum of m coefficients
+    first, *rest = (summand.strands for summand in summands)
+    divisor = [1] * first
+    for m in rest:
+        divisor = [sum(divisor[max(k - m + 1, 0) : k + 1]) for k in range(len(divisor) + m - 1)]
+    return det.divide_exact(LaurentPolynomial.from_coeffs(0, divisor)).normalized()

@@ -212,8 +212,3 @@ class LaurentPolynomial:
 
 ZERO = LaurentPolynomial()
 ONE = LaurentPolynomial.constant(1)
-
-
-def geometric_sum(n: int) -> LaurentPolynomial:
-    """1 + t + ... + t**(n-1)."""
-    return LaurentPolynomial.from_coeffs(0, (1,) * n)

@@ -91,12 +91,14 @@ def _takes_burau_route(word: BraidWord) -> bool:
 
     The pencil det(V - t*V^T) has about one row per letter, and its integers
     widen with the word, so its cost grows about 34x per doubling of the
-    word. Burau's cost grows with the strands: a product and a determinant
-    on (strands - 1)^2 entries. Timed per word on 2-40 strands and up to 256
-    letters, Burau wins from about 6 * (strands - 1) letters on few strands,
-    and from more as the strands grow; the quadratic term keeps the rule on
-    the pencil's side of that curve (12 letters on 3 strands, 152 on 20, none
-    of up to 256 letters on 32 or more).
+    word. Burau's cost grows with the strands of the largest summand left
+    once the word is cut at the generators it uses once: a product and a
+    determinant on about (summand strands - 1)^2 entries. The rule still
+    reads the raw shape, as the fits below were timed on uncut words: on 2-40
+    strands and up to 256 letters, Burau wins from about 6 * (strands - 1)
+    letters on few strands, and from more as the strands grow; the quadratic
+    term keeps the rule on the pencil's side of that curve (12 letters on 3
+    strands, 152 on 20, none of up to 256 letters on 32 or more).
     """
     return 8 * len(word.letters) >= (word.strands - 1) * (word.strands + 44)
 

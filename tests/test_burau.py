@@ -215,3 +215,81 @@ def test_burau_route_builds_a_few_polynomials_per_word(monkeypatch):
         alexander_via_burau(w)
         counts.append(len(built))
     assert max(counts) <= 5, counts
+
+
+def _word_using_each_generator(rng, strands, extra):
+    # every generator at least twice, with random signs, then `extra` random
+    # letters, shuffled: no generator is unused and none is used once
+    alphabet = [s * i for i in range(1, strands) for s in (1, -1)]
+    letters = [rng.choice((1, -1)) * i for i in range(1, strands) for _ in range(2)]
+    letters += [rng.choice(alphabet) for _ in range(extra)]
+    rng.shuffle(letters)
+    return BraidWord(strands, tuple(letters))
+
+
+def test_connected_sum_multiplies_the_summands_polynomials():
+    # a word below strand k and a word above it, joined by one lone letter
+    # on generator k, close to the connected sum of their closures
+    rng = random.Random(2112)
+    components = set()
+    for _ in range(40):
+        lower = _word_using_each_generator(rng, rng.randint(2, 6), rng.randint(0, 4))
+        upper = _word_using_each_generator(rng, rng.randint(2, 6), rng.randint(0, 4))
+        k = lower.strands
+        # the two words' letters commute, so they may interleave, each in its order
+        sides = [0] * len(lower.letters) + [1] * len(upper.letters)
+        rng.shuffle(sides)
+        pending = [list(lower.letters[::-1]), [v + k if v > 0 else v - k for v in upper.letters[::-1]]]
+        letters = [pending[side].pop() for side in sides]
+        letters.insert(rng.randint(0, len(letters)), rng.choice((1, -1)) * k)
+        composite = BraidWord(k + upper.strands, tuple(letters))
+        components.add(closure_data(composite).components)
+        delta = alexander_via_burau(composite)
+        assert delta == (alexander_via_burau(lower) * alexander_via_burau(upper)).normalized()
+        assert delta == alexander_of_braid(composite), composite
+    assert 1 in components and len(components) > 1  # knots and links both
+
+
+def _refuse(*args):
+    raise AssertionError("not expected to run")
+
+
+def test_an_unused_generator_returns_zero_before_any_product(monkeypatch):
+    monkeypatch.setattr("knotsum.burau.reduced_burau", _refuse)
+    assert alexander_via_burau(BraidWord(5000, (1, 2500, -4999))) == ZERO
+    assert alexander_via_burau(BraidWord(4, (1, 1, 3, 3, 3))) == ZERO
+    assert alexander_via_burau(BraidWord(3, (2, -2, 2))) == ZERO
+
+
+@pytest.mark.parametrize("strands", [2, 3, 7, 40])
+def test_each_generator_once_is_the_unknot_without_a_determinant(monkeypatch, strands):
+    monkeypatch.setattr("knotsum.burau.kronecker_determinant", _refuse)
+    rng = random.Random(strands)
+    for _ in range(4):
+        letters = [rng.choice((1, -1)) * i for i in range(1, strands)]
+        assert alexander_via_burau(BraidWord(strands, tuple(letters))) == ONE
+        rng.shuffle(letters)
+        assert alexander_via_burau(BraidWord(strands, tuple(letters))) == ONE
+
+
+def test_dual_routes_agree_on_wide_words_with_lone_letters():
+    # 6-24 strands and up to 64 letters, past the 5-strand, 12-letter corpus:
+    # lone letters on random generators cut each word into summands of any
+    # size; every other generator is used three times, or now and then not at all
+    rng = random.Random(27)
+    checked = 0
+    while checked < 40:
+        strands = rng.randint(6, 24)
+        lone = set(rng.sample(range(1, strands), rng.randint(1, 4)))
+        kept = [i for i in range(1, strands) if i not in lone]
+        if rng.random() < 0.15:  # an unused generator: a split closure
+            kept.remove(rng.choice(kept))
+        letters = [rng.choice((1, -1)) * i for i in kept for _ in range(3)]
+        rng.shuffle(letters)
+        for i in lone:
+            letters.insert(rng.randint(0, len(letters)), rng.choice((1, -1)) * i)
+        if len(letters) > 64:
+            continue
+        word = BraidWord(strands, tuple(letters))
+        assert alexander_via_burau(word) == alexander_of_braid(word), word
+        checked += 1

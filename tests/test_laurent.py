@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from knotsum.laurent import ONE, ZERO, LaurentPolynomial, geometric_sum
+from knotsum.laurent import ONE, ZERO, LaurentPolynomial
 
 T = LaurentPolynomial.from_coeffs(1, (1,))  # t
 
@@ -67,8 +67,8 @@ def test_evaluations_at_plus_and_minus_one():
 
 
 def test_divide_exact():
-    num = geometric_sum(6)
-    den = geometric_sum(3)
+    num = LaurentPolynomial.from_coeffs(0, (1,) * 6)
+    den = LaurentPolynomial.from_coeffs(0, (1,) * 3)
     # 1 + ... + t^5 = (1 + t + t^2)(1 + t^3)
     assert num.divide_exact(den).terms == ((0, 1), (3, 1))
     with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ def test_floor_division_is_exact_division():
     assert not ZERO and T
     # a divisor wider than the dividend leaves the quotient no span
     with pytest.raises(ValueError):
-        T.divide_exact(geometric_sum(3))
+        T.divide_exact(LaurentPolynomial.from_coeffs(0, (1,) * 3))
     # an int divisor is a constant: exact, then with a remainder
     assert LaurentPolynomial.from_dict({-1: 2, 3: -4}).divide_exact(
         LaurentPolynomial.constant(2)
@@ -97,14 +97,14 @@ def test_floor_division_is_exact_division():
     ) == LaurentPolynomial.from_coeffs(-1, (1,))
     # the top terms divide away, leaving 1 below the quotient's span {0, 1}
     with pytest.raises(ValueError):
-        geometric_sum(3).divide_exact(T + ONE)
+        LaurentPolynomial.from_coeffs(0, (1,) * 3).divide_exact(T + ONE)
 
 
 def test_inexact_division_by_monic_divisor_raises():
     # a lead coefficient of +-1 never leaves a remainder in the top term, so
     # only the quotient's exponent floor can stop these divisions
     with pytest.raises(ValueError):
-        ONE.divide_exact(geometric_sum(2))
+        ONE.divide_exact(LaurentPolynomial.from_coeffs(0, (1,) * 2))
     with pytest.raises(ValueError):
         LaurentPolynomial.from_dict({-2: 1, 0: 1}).divide_exact(
             LaurentPolynomial.from_dict({-1: 1, 0: -1})
@@ -153,11 +153,6 @@ def test_sums_that_cancel_an_end_are_trimmed():
     zero = (T - ONE) * (T + ONE) - T * T + ONE
     assert zero == ZERO and hash(zero) == hash(ZERO)
     assert (zero.lo, zero.coeffs) == (0, ())
-
-
-def test_geometric_sum():
-    assert geometric_sum(1) == ONE
-    assert geometric_sum(4).terms == ((0, 1), (1, 1), (2, 1), (3, 1))
 
 
 @given(polys, polys, polys)
