@@ -113,12 +113,9 @@ def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
                                     balanced_digits(x >> (zeros * bits), bits)))
         offset += summand.strands - 1
     det = kronecker_determinant(offset, entries)
-    if not det:
-        return det
     # multiply by (1 - t)/(1 - t^m) per summand, i.e. divide by the product of their
     # 1 + t + ... + t^(m-1); multiplying by one is a window sum of m coefficients
-    first, *rest = (summand.strands for summand in summands)
-    divisor = [1] * first
-    for m in rest:
+    divisor = [1]
+    for m in (summand.strands for summand in summands):
         divisor = [sum(divisor[max(k - m + 1, 0) : k + 1]) for k in range(len(divisor) + m - 1)]
     return det.divide_exact(LaurentPolynomial.from_coeffs(0, divisor)).normalized()

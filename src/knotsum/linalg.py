@@ -28,7 +28,7 @@ anywhere in the package.
 from __future__ import annotations
 
 from itertools import compress
-from math import isqrt, prod
+from math import inf, isqrt, prod
 from operator import or_
 from typing import Sequence
 
@@ -187,9 +187,10 @@ def kronecker_determinant(
     """Determinant of the n x n matrix whose nonzero (i, j) entry is sum(c[k] * t**(lo + k)).
 
     Each entry comes as (i, j, lo, c); c may have zeros at either end, but
-    zeros at its low end lower the row's shift and widen the ints. Row i
-    is shifted by its lowest exponent, which multiplies the determinant by
-    a known power of t and leaves a polynomial D. On |t| = 1 Hadamard's
+    zeros at its low end lower the row's shift and widen the ints. A row of
+    norm 0 (no entry, or only zeros) makes the determinant ZERO. Otherwise
+    row i is shifted by its lowest exponent, which multiplies the determinant
+    by a known power of t and leaves a polynomial D. On |t| = 1 Hadamard's
     inequality gives |D(t)| <= C = prod_i sqrt(sum_j ||m_ij||_1^2), and each
     coefficient d_k of D is the average of D(t)*t^-k over that circle, so
     |d_k| <= C. With 2^(B-1) > C, D(2^B) from one integer Bareiss run
@@ -197,15 +198,12 @@ def kronecker_determinant(
     `balanced_digits`. D's degree is at most the sum of the row spans; a
     value with more digits than that raises ArithmeticError.
     """
-    row_lo: list = [None] * n
-    row_end: list = [None] * n
+    row_lo = [inf] * n
+    row_end = [-inf] * n
     row_norm = [0] * n
     for i, _, lo, c in entries:
-        if row_lo[i] is None:
-            row_lo[i], row_end[i] = lo, lo + len(c)
-        else:
-            row_lo[i] = min(row_lo[i], lo)
-            row_end[i] = max(row_end[i], lo + len(c))
+        row_lo[i] = min(row_lo[i], lo)
+        row_end[i] = max(row_end[i], lo + len(c))
         row_norm[i] += sum(map(abs, c)) ** 2
     if not all(row_norm):
         return ZERO

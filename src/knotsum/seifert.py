@@ -37,8 +37,9 @@ A linear plumbing of unknotted annuli with even twist counts
 above the diagonal per adjacent pair, matching the braid convention
 (the [2, 2] chain and the sigma_1^3 surface produce the same matrix).
 
-SeifertMatrix holds the tuple rows the linalg kernels read, and computes Delta
-and the (signature, det) pair of V + V^T at most once each, on first use.
+SeifertMatrix holds the tuple rows the linalg kernels read. It computes the
+(signature, det) pair of V + V^T once, on first use, as each profile reads
+both; Delta is evaluated on each call, and profiles.BraidInvariants keeps it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .linalg import pencil_determinant, symmetric_form
 
 @dataclass(frozen=True)
 class SeifertMatrix:
-    """Square integer matrix V of push-off linking numbers; invariants cached on first use."""
+    """Square integer matrix V of push-off linking numbers; sigma and det cached on first use."""
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -71,14 +72,10 @@ class SeifertMatrix:
     def symmetrized(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(map(add, row, col)) for row, col in zip(self.rows, zip(*self.rows)))
 
-    @cached_property
-    def _alexander(self) -> LaurentPolynomial:
+    def alexander(self) -> LaurentPolynomial:
+        """Normalized det(V - t*V^T), evaluated on each call."""
         neg_vt = [tuple(map(neg, col)) for col in zip(*self.rows)]
         return pencil_determinant(self.rows, neg_vt).normalized()
-
-    def alexander(self) -> LaurentPolynomial:
-        """Normalized det(V - t*V^T)."""
-        return self._alexander
 
     @cached_property
     def _symmetric_form(self) -> tuple[int, int]:

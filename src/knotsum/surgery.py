@@ -200,13 +200,13 @@ class ClassMemo:
     search share with many others. A new cyclic word builds its orbit, the
     cyclic_conjugates, once and enters all of it, so no other word of the
     class builds it again. Each class keeps the BraidInvariants of its least
-    conjugate, the representative, and the answer of its
-    BraidInvariants.matches to each key it was asked about.
+    conjugate, the representative. Each key asked about keeps one
+    functools.cache of BraidInvariants.matches, shared by every caller.
     """
 
     def __init__(self) -> None:
         self._words: dict[tuple[int, tuple[int, ...]], BraidInvariants] = {}
-        self._verdicts: dict[tuple, dict[BraidInvariants, bool]] = {}
+        self._verdicts: dict[tuple, Callable[[BraidInvariants], bool]] = {}
 
     def of(self, strands: int, letters: Sequence[int]) -> BraidInvariants:
         cyclic = cyclic_reduction(letters)
@@ -220,15 +220,9 @@ class ClassMemo:
 
     def matcher(self, key: tuple) -> Callable[[BraidInvariants], bool]:
         """invariants -> invariants.matches(key), asked once per class for this key."""
-        verdicts = self._verdicts.setdefault(key, {})
-
-        def matches(invariants: BraidInvariants) -> bool:
-            verdict = verdicts.get(invariants)
-            if verdict is None:
-                verdict = verdicts[invariants] = invariants.matches(key)
-            return verdict
-
-        return matches
+        if key not in self._verdicts:
+            self._verdicts[key] = functools.cache(lambda invariants: invariants.matches(key))
+        return self._verdicts[key]
 
 
 def verify_triple(

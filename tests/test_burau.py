@@ -5,7 +5,7 @@ import pytest
 from knotsum.braid import BraidWord, closure_data
 from knotsum.burau import alexander_via_burau, reduced_burau
 from knotsum.laurent import ONE, ZERO, LaurentPolynomial
-from knotsum.linalg import balanced_digits
+from knotsum.linalg import balanced_digits, laurent_matrix_determinant
 from knotsum.seifert import alexander_of_braid
 
 from corpus import random_braid_words, random_knot_words
@@ -293,3 +293,31 @@ def test_dual_routes_agree_on_wide_words_with_lone_letters():
         word = BraidWord(strands, tuple(letters))
         assert alexander_via_burau(word) == alexander_of_braid(word), word
         checked += 1
+
+
+def _unreduced_burau(word):
+    # dense product of the unreduced Burau matrices, sigma_i acting on the
+    # 0-based positions i - 1, i as [[1 - t, t], [1, 0]] and its inverse as
+    # [[0, 1], [1/t, 1 - 1/t]]; right multiplication rewrites two columns
+    n = word.strands
+    one_minus_t, t_inv = ONE - T, LaurentPolynomial.from_coeffs(-1, (1,))
+    m = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    for v in word.letters:
+        i = abs(v) - 1
+        for row in m:
+            a, b = row[i], row[i + 1]
+            if v > 0:
+                row[i], row[i + 1] = a * one_minus_t + b, a * T
+            else:
+                row[i], row[i + 1] = b * t_inv, a + b * (ONE - t_inv)
+    return m
+
+
+def test_burau_route_matches_the_unreduced_burau_minor():
+    # a third oracle: Delta is det(I - psi(beta)) with the last row and
+    # column deleted, no division; knots, links and split closures alike
+    for word in random_braid_words(28, 600, max_strands=9, max_letters=24):
+        product = _unreduced_burau(word)
+        minor = [[(ONE if r == c else ZERO) - product[r][c] for c in range(word.strands - 1)]
+                 for r in range(word.strands - 1)]
+        assert laurent_matrix_determinant(minor).normalized() == alexander_via_burau(word), word

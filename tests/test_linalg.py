@@ -111,6 +111,17 @@ def test_kronecker_rejects_a_determinant_wider_than_its_rows(monkeypatch):
         pencil_determinant([[1]], [[0]])
 
 
+def test_kronecker_shifts_each_row_to_its_lowest_exponent(monkeypatch):
+    # [[t^3, 2t^5], [1/t^2, 1/t]]: rows shifted by t^3 and t^-2 leave
+    # [[1, 2t^2], [1, t]], whose integer image has ones in column 0
+    seen = []
+    bareiss = linalg.bareiss_determinant
+    monkeypatch.setattr(linalg, "bareiss_determinant", lambda m: seen.append(m) or bareiss(m))
+    entries = [(0, 0, 3, [1]), (0, 1, 5, [2]), (1, 0, -2, [1]), (1, 1, -1, [1])]
+    assert linalg.kronecker_determinant(2, entries) == LaurentPolynomial.from_coeffs(2, (1, -2))
+    assert [row[0] for row in seen[0]] == [1, 1]
+
+
 @pytest.mark.parametrize("bits", [2, 8, 61])
 def test_balanced_digits_round_trip(bits):
     # digits in [-2^(B-1), 2^(B-1)), the lowest digit and a leading negative

@@ -74,13 +74,12 @@ def test_matches_stops_at_the_first_miss():
     # 5_1 shares the determinant 5 with 4_1; |signature| 4 against 0 ends it
     cinquefoil = BraidInvariants(BraidWord(2, (1,) * 5))
     assert not cinquefoil.matches(figure_eight)
-    caches = vars(cinquefoil.matrix)
-    assert "_symmetric_form" in caches and "_alexander" not in caches
+    assert "_symmetric_form" in vars(cinquefoil.matrix) and "alexander" not in vars(cinquefoil)
     # determinant 3 against 5: the pencil is never evaluated (the signature
     # comes from the elimination that gave the determinant, so it is known)
     trefoil = BraidInvariants(BraidWord(2, (1, 1, 1)))
     assert not trefoil.matches(figure_eight)
-    assert "_alexander" not in vars(trefoil.matrix)
+    assert "alexander" not in vars(trefoil)
     assert trefoil.matches(lookup("3_1").profile.fingerprint())
     assert BraidInvariants(BraidWord(2, (-1, -1, -1))).matches(lookup("3_1").profile.fingerprint())
     # a link misses on components before its Seifert matrix is built
@@ -204,6 +203,45 @@ def test_each_seifert_form_is_eliminated_once(monkeypatch):
         assert buraus == ([word] if by_burau else []), word
         assert pencils == ([] if by_burau else [record.matrix.rows]), word
         assert record.matrix.alexander() == alexander
+
+
+def test_delta_is_computed_once_per_closure_record(monkeypatch):
+    # a match, then profiles for two genus bounds: the record's cached Delta
+    # serves all three; the SeifertMatrix evaluates its pencil on every call
+    pencil, burau = seifert.pencil_determinant, alexander_via_burau
+    pencils, buraus = [], []
+    monkeypatch.setattr(
+        seifert, "pencil_determinant", lambda a, b: pencils.append(a) or pencil(a, b)
+    )
+    monkeypatch.setattr(profiles, "alexander_via_burau", lambda w: buraus.append(w) or burau(w))
+    for word, by_burau in ((BraidWord(3, (1, -2, 1, -2)), False),
+                           (BraidWord(3, (1, -2) * 7), True)):
+        assert profiles._takes_burau_route(word) == by_burau
+        # conjugating by a letter adds two letters that free reduction keeps: genus bound + 1
+        conjugate = BraidWord(word.strands, (1, *word.letters, -1))
+        key = profile_of_braid(word).fingerprint()
+        record = BraidInvariants(word)
+        pencils.clear()
+        buraus.clear()
+        assert record.matches(key)
+        genus = record.profile(word).canonical_genus_bound
+        assert record.profile(conjugate).canonical_genus_bound == genus + 1
+        assert (len(pencils), len(buraus)) == ((0, 1) if by_burau else (1, 0)), word
+
+
+def test_connected_sums_of_trefoils_match_the_closed_form():
+    # sigma_1^3 sigma_2 sigma_3^3 ... sigma_(2k-1)^3 on 2k strands is the sum of
+    # k trefoils, each joined by a lone letter: Delta = (t - 1 + 1/t)^k,
+    # det = 3^k and |sigma| = 2k
+    expected = LaurentPolynomial.constant(1)
+    for k in range(1, 25):
+        expected = expected * TREFOIL_DELTA
+        letters = [v for i in range(1, 2 * k, 2) for v in (i, i, i, i + 1)][:-1]
+        word = BraidWord(2 * k, tuple(letters))
+        assert alexander_via_burau(word) == alexander_of_braid(word) == expected.normalized(), k
+        profile = profile_of_braid(word)
+        assert (profile.determinant, abs(profile.signature)) == (3**k, 2 * k)
+        assert profile.alexander == expected.normalized()
 
 
 def _t_power_minus_one(power):
