@@ -253,10 +253,7 @@ def _trace_payload(trace) -> dict:
     return {
         "start": trace.start.format(),
         "end": trace.end.format(),
-        "steps": [
-            {"rule": s.rule, "position": s.position, "params": list(s.params)}
-            for s in trace.steps
-        ],
+        "steps": [step._asdict() for step in trace.steps],
     }
 
 

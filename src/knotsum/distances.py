@@ -175,9 +175,6 @@ class DerivationEntry(NamedTuple):
     value: int | None
     inputs: str
 
-    def serialize(self) -> dict[str, object]:
-        return {"name": self.name, "value": self.value, "inputs": self.inputs}
-
 
 def _resolve(knot: str | InvariantProfile) -> tuple[str | None, InvariantProfile]:
     if isinstance(knot, str):
@@ -333,7 +330,7 @@ class DMInterval:
             "lower": self.lower,
             "upper": "unknown" if self.upper is None else self.upper,
             "connected_sum_status": self.connected_sum_status,
-            "derivation": [entry.serialize() for entry in self.derivation],
+            "derivation": [entry._asdict() for entry in self.derivation],
         }
 
 

@@ -8,8 +8,10 @@ i-th carrying ai half-twists (all ai even).  Three moves act on words:
   rule 3   S[..., x, 0, y, ...] = S[..., x+y, ...] (boundary unchanged)
 
 Rules 2 and 3 run both ways and never change the boundary link; rule 1
-genuinely sums two surfaces.  The surface is minimal genus exactly when
-no entry is zero, so searches accept a word only in that form.
+genuinely sums two surfaces. `apply_step` is the one checked step, for
+replaying recorded traces; `_shrinks` and `_neighbors` generate the moves
+on bare twists for normalization and the search. The surface is minimal
+genus exactly when no entry is zero, so searches accept only that form.
 """
 
 from __future__ import annotations
@@ -84,46 +86,6 @@ def star4(left: PlumbingWord, right: PlumbingWord) -> PlumbingWord:
     return PlumbingWord(left.twists + right.twists)
 
 
-def apply_rule2(word: PlumbingWord, a: int, forward: bool = True) -> PlumbingWord:
-    """Append (a, 0) when forward; strip a trailing (a, 0) otherwise.
-
-    The backward direction checks that the removed entry really is `a`,
-    so recorded steps replay only against the word they came from.
-    """
-    if a % 2:
-        raise PlumbingError(f"twist {a} is odd")
-    if forward:
-        return PlumbingWord(word.twists + (a, 0))
-    if word.size < 2 or word.twists[-1] != 0:
-        raise PlumbingError(f"{word} does not end in a (c, 0) pair")
-    if word.twists[-2] != a:
-        raise PlumbingError(
-            f"{word} ends in ({word.twists[-2]}, 0), not ({a}, 0)"
-        )
-    return PlumbingWord(word.twists[:-2])
-
-
-def apply_rule3(word: PlumbingWord, zero_pos: int) -> PlumbingWord:
-    """Dissolve the zero at index zero_pos, adding its two neighbours.
-
-    The zero must be interior: both neighbours have to exist.
-    """
-    if not 1 <= zero_pos <= word.size - 2:
-        raise PlumbingError(f"position {zero_pos} is not interior in {word}")
-    if word.twists[zero_pos] != 0:
-        raise PlumbingError(f"entry at {zero_pos} in {word} is not zero")
-    return PlumbingWord(_merged(word.twists, zero_pos))
-
-
-def apply_rule3_inverse(word: PlumbingWord, pos: int, x: int) -> PlumbingWord:
-    """Split entry c at index pos into the triple (x, 0, c - x)."""
-    if not 0 <= pos < word.size:
-        raise PlumbingError(f"position {pos} out of range in {word}")
-    if x % 2:
-        raise PlumbingError(f"twist {x} is odd")
-    return PlumbingWord(_split(word.twists, pos, x))
-
-
 def _merged(twists: tuple[int, ...], j: int) -> tuple[int, ...]:
     """Rule 3 on bare twists: drop the zero at j, adding its neighbours."""
     return twists[: j - 1] + (twists[j - 1] + twists[j + 1],) + twists[j + 2 :]
@@ -141,19 +103,24 @@ class RewriteStep(NamedTuple):
 
 
 def apply_step(word: PlumbingWord, step: RewriteStep) -> PlumbingWord:
-    if step.rule == RULE_SUM:
-        if step.position != word.size:
-            raise PlumbingError("sum step must attach at the word's end")
-        return star4(word, PlumbingWord(step.params))
-    if step.rule == RULE_STABILIZE:
-        return apply_rule2(word, step.params[0], forward=True)
-    if step.rule == RULE_UNSTABILIZE:
-        return apply_rule2(word, step.params[0], forward=False)
-    if step.rule == RULE_MERGE:
-        return apply_rule3(word, step.position)
-    if step.rule == RULE_SPLIT:
-        return apply_rule3_inverse(word, step.position, step.params[0])
-    raise PlumbingError(f"unknown rule id {step.rule!r}")
+    """The one checked step: a recorded step applies only where its rule,
+    position and params all fit the word. Rules 1 and 2 attach at n, rule
+    2 inverse strips the trailing (a, 0) at n - 2 (params (a,)), rule 3
+    merges at an interior zero (no params), and rule 3 inverse splits an
+    entry 0 <= j < n at its one param. PlumbingWord refuses odd twists."""
+    twists, n = word.twists, word.size
+    rule, j, params = step
+    if rule == RULE_SUM and j == n:
+        return star4(word, PlumbingWord(params))
+    if rule == RULE_STABILIZE and j == n and len(params) == 1:
+        return PlumbingWord(twists + (params[0], 0))
+    if rule == RULE_UNSTABILIZE and j == n - 2 >= 0 and twists[j:] == (*params, 0):
+        return PlumbingWord(twists[:j])
+    if rule == RULE_MERGE and 1 <= j <= n - 2 and twists[j] == 0 and not params:
+        return PlumbingWord(_merged(twists, j))
+    if rule == RULE_SPLIT and 0 <= j < n and len(params) == 1:
+        return PlumbingWord(_split(twists, j, params[0]))
+    raise PlumbingError(f"rule {rule} does not fit {word} at position {j}, params {list(params)}")
 
 
 @dataclass(frozen=True)

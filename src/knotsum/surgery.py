@@ -67,11 +67,17 @@ class TwistAnnulus:
         }
 
 
-def _first_visit_sets(word: BraidWord, basepoint: int) -> tuple[set[int], set[int]]:
-    """Letters first met on the under-strand vs on the over-strand.
+def unknotting_crossing_set(word: BraidWord, basepoint: int = 1) -> frozenset[int]:
+    """Letter positions whose sign flips trivialize the closure.
 
-    Walks the closure once from the top of the basepoint strand. Raises
-    if the closure is not a knot (the walk would not cover the diagram).
+    Walks the closure once from the top of the basepoint strand, sorting
+    each letter by whether it is first met on the under- or the
+    over-strand; raises if the closure is not a knot (the walk would not
+    cover the diagram). Flipping the first-met-under letters makes the
+    diagram descending; flipping the rest makes it ascending (descending
+    for the reversed walk). Both are unknots, so the smaller set is
+    returned, which keeps the size at or below ceil(letters / 2). Ties go
+    to the descending set.
     """
     if not 1 <= basepoint <= word.strands:
         raise ValueError(f"basepoint {basepoint} outside 1..{word.strands}")
@@ -94,20 +100,7 @@ def _first_visit_sets(word: BraidWord, basepoint: int) -> tuple[set[int], set[in
             pos = i + 1 if pos == i else i
     if pos != basepoint:
         raise AssertionError("closure walk failed to close up")
-    return under_first, over_first
-
-
-def unknotting_crossing_set(word: BraidWord, basepoint: int = 1) -> frozenset[int]:
-    """Letter positions whose sign flips trivialize the closure.
-
-    Flipping the first-met-under letters makes the diagram descending;
-    flipping the rest makes it ascending (descending for the reversed
-    walk). Both are unknots, so the smaller set is returned, which keeps
-    the size at or below ceil(letters / 2). Ties go to the descending set.
-    """
-    under_first, over_first = _first_visit_sets(word, basepoint)
-    chosen = under_first if len(under_first) <= len(over_first) else over_first
-    return frozenset(chosen)
+    return frozenset(under_first if len(under_first) <= len(over_first) else over_first)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,13 @@ from knotsum.distances import (
 )
 from knotsum.laurent import ONE
 from knotsum.plumbing import (
+    RULE_MERGE,
+    RULE_SPLIT,
+    RULE_STABILIZE,
+    RULE_UNSTABILIZE,
     PlumbingWord,
-    apply_rule2,
-    apply_rule3,
-    apply_rule3_inverse,
+    RewriteStep,
+    apply_step,
     boundary_profile,
     normalize,
     star4,
@@ -100,7 +103,7 @@ def test_criterion_2_plumbing_chain_replay():
     # one merge, not normalize: the full normalizer would go on to strip
     # the trailing (2, 0) pair, and the chain under test stops at S[2,0]
     chain_b_start = PlumbingWord((2, -2, 0, 2))
-    chain_b_end = apply_rule3(chain_b_start, 2)
+    chain_b_end = apply_step(chain_b_start, RewriteStep(RULE_MERGE, 2))
     checks["chain b end"] = chain_b_end == PlumbingWord((2, 0))
     checks["chain b profiles"] = (
         boundary_profile(chain_b_start).link_key()
@@ -122,7 +125,7 @@ def test_criterion_3_nine_one_obstruction():
     interval = dm_interval("3_1", "3_1", "9_1")
     ok = interval.lower >= 6
     report(3, ok, f"lower bound for (3_1, 3_1; 9_1) is {interval.lower}, needs >= 6")
-    assert ok, [entry.serialize() for entry in interval.derivation]
+    assert ok, [entry._asdict() for entry in interval.derivation]
 
 
 # --- criterion 4: gon merge arithmetic --------------------------------------
@@ -226,29 +229,29 @@ def _random_move_pairs(word, rng):
     moves = []
     a = rng.choice((-4, -2, 0, 2, 4))
     moves.append((
-        lambda w, a=a: apply_rule2(w, a, forward=True),
-        lambda w, a=a: apply_rule2(w, a, forward=False),
+        lambda w, a=a: apply_step(w, RewriteStep(RULE_STABILIZE, w.size, (a,))),
+        lambda w, a=a: apply_step(w, RewriteStep(RULE_UNSTABILIZE, w.size - 2, (a,))),
     ))
     if word.size >= 2 and word.twists[-1] == 0:
         c = word.twists[-2]
         moves.append((
-            lambda w, c=c: apply_rule2(w, c, forward=False),
-            lambda w, c=c: apply_rule2(w, c, forward=True),
+            lambda w, c=c: apply_step(w, RewriteStep(RULE_UNSTABILIZE, w.size - 2, (c,))),
+            lambda w, c=c: apply_step(w, RewriteStep(RULE_STABILIZE, w.size, (c,))),
         ))
     zeros = [j for j in range(1, word.size - 1) if word.twists[j] == 0]
     if zeros:
         j = rng.choice(zeros)
         x = word.twists[j - 1]
         moves.append((
-            lambda w, j=j: apply_rule3(w, j),
-            lambda w, j=j, x=x: apply_rule3_inverse(w, j - 1, x),
+            lambda w, j=j: apply_step(w, RewriteStep(RULE_MERGE, j)),
+            lambda w, j=j, x=x: apply_step(w, RewriteStep(RULE_SPLIT, j - 1, (x,))),
         ))
     if word.size >= 1:
         pos = rng.randrange(word.size)
         x = rng.choice((-4, -2, 0, 2, 4))
         moves.append((
-            lambda w, pos=pos, x=x: apply_rule3_inverse(w, pos, x),
-            lambda w, pos=pos: apply_rule3(w, pos + 1),
+            lambda w, pos=pos, x=x: apply_step(w, RewriteStep(RULE_SPLIT, pos, (x,))),
+            lambda w, pos=pos: apply_step(w, RewriteStep(RULE_MERGE, pos + 1)),
         ))
     return moves
 

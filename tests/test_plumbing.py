@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -17,9 +17,6 @@ from knotsum.plumbing import (
     SearchBudget,
     _column,
     _minimal_word,
-    apply_rule2,
-    apply_rule3,
-    apply_rule3_inverse,
     apply_step,
     boundary_profile,
     normalize,
@@ -57,36 +54,37 @@ def test_star4_concatenates():
 
 def test_rule2_both_directions():
     w = PlumbingWord((2, 2))
-    up = apply_rule2(w, -4)
+    up = apply_step(w, RewriteStep(RULE_STABILIZE, 2, (-4,)))
     assert up == PlumbingWord((2, 2, -4, 0))
-    assert apply_rule2(up, -4, forward=False) == w
+    assert apply_step(up, RewriteStep(RULE_UNSTABILIZE, 2, (-4,))) == w
     with pytest.raises(PlumbingError):
-        apply_rule2(up, 2, forward=False)  # removed value must match
+        apply_step(up, RewriteStep(RULE_UNSTABILIZE, 2, (2,)))  # removed value must match
     with pytest.raises(PlumbingError):
-        apply_rule2(w, 2, forward=False)  # no trailing zero
+        apply_step(w, RewriteStep(RULE_UNSTABILIZE, 0, (2,)))  # no trailing zero
     with pytest.raises(PlumbingError):
-        apply_rule2(w, 3)
+        apply_step(w, RewriteStep(RULE_STABILIZE, 2, (3,)))
 
 
 def test_rule3_merges_across_an_interior_zero():
     w = PlumbingWord((2, 0, 4))
-    assert apply_rule3(w, 1) == PlumbingWord((6,))
+    assert apply_step(w, RewriteStep(RULE_MERGE, 1)) == PlumbingWord((6,))
     longer = PlumbingWord((2, 2, -2, 0, 2, 2))
-    assert apply_rule3(longer, 3) == PlumbingWord((2, 2, 0, 2))
+    assert apply_step(longer, RewriteStep(RULE_MERGE, 3)) == PlumbingWord((2, 2, 0, 2))
     with pytest.raises(PlumbingError):
-        apply_rule3(PlumbingWord((0, 2)), 0)  # not interior
+        apply_step(PlumbingWord((0, 2)), RewriteStep(RULE_MERGE, 0))  # not interior
     with pytest.raises(PlumbingError):
-        apply_rule3(PlumbingWord((2, 4, 2)), 1)  # not a zero
+        apply_step(PlumbingWord((2, 4, 2)), RewriteStep(RULE_MERGE, 1))  # not a zero
 
 
 def test_rule3_inverse_splits():
     w = PlumbingWord((6,))
-    assert apply_rule3_inverse(w, 0, 2) == PlumbingWord((2, 0, 4))
-    assert apply_rule3(apply_rule3_inverse(w, 0, -2), 1) == w
+    assert apply_step(w, RewriteStep(RULE_SPLIT, 0, (2,))) == PlumbingWord((2, 0, 4))
+    split = apply_step(w, RewriteStep(RULE_SPLIT, 0, (-2,)))
+    assert apply_step(split, RewriteStep(RULE_MERGE, 1)) == w
     with pytest.raises(PlumbingError):
-        apply_rule3_inverse(w, 1, 2)
+        apply_step(w, RewriteStep(RULE_SPLIT, 1, (2,)))
     with pytest.raises(PlumbingError):
-        apply_rule3_inverse(w, 0, 3)
+        apply_step(w, RewriteStep(RULE_SPLIT, 0, (3,)))
 
 
 def test_apply_step_dispatch():
@@ -102,6 +100,67 @@ def test_apply_step_dispatch():
         apply_step(w, RewriteStep(RULE_SUM, 0, (2,)))  # must attach at the end
     with pytest.raises(PlumbingError):
         apply_step(w, RewriteStep("9", 0))
+
+
+def test_apply_step_checks_every_field_of_a_step():
+    # S[2,0,4,6,0] takes rules 1 and 2 at 5, rule 2 inverse at 3 with
+    # params (6,), rule 3 at 1 and rule 3 inverse at 0..4 with one param;
+    # a position one off either way, a missing or an extra param fails
+    word = PlumbingWord((2, 0, 4, 6, 0))
+    bad = [
+        RewriteStep(RULE_SUM, 4, (2,)), RewriteStep(RULE_SUM, 6, (2,)),
+        RewriteStep(RULE_STABILIZE, 4, (4,)), RewriteStep(RULE_STABILIZE, 6, (4,)),
+        RewriteStep(RULE_STABILIZE, 5), RewriteStep(RULE_STABILIZE, 5, (4, 2)),
+        RewriteStep(RULE_UNSTABILIZE, 2, (6,)), RewriteStep(RULE_UNSTABILIZE, 4, (6,)),
+        RewriteStep(RULE_UNSTABILIZE, 3), RewriteStep(RULE_UNSTABILIZE, 3, (6, 0)),
+        RewriteStep(RULE_MERGE, 0), RewriteStep(RULE_MERGE, 2), RewriteStep(RULE_MERGE, 1, (0,)),
+        RewriteStep(RULE_SPLIT, -1, (2,)), RewriteStep(RULE_SPLIT, 5, (2,)),
+        RewriteStep(RULE_SPLIT, 2), RewriteStep(RULE_SPLIT, 2, (2, 2)),
+        RewriteStep("9", 0),
+    ]
+    for step in bad:
+        with pytest.raises(PlumbingError) as caught:
+            apply_step(word, step)
+        message = str(caught.value)
+        assert f"rule {step.rule} " in message and f"position {step.position}," in message
+        assert f"params {list(step.params)}" in message
+    for step, twists in [
+        (RewriteStep(RULE_SUM, 5, (2,)), (2, 0, 4, 6, 0, 2)),
+        (RewriteStep(RULE_STABILIZE, 5, (4,)), (2, 0, 4, 6, 0, 4, 0)),
+        (RewriteStep(RULE_UNSTABILIZE, 3, (6,)), (2, 0, 4)),
+        (RewriteStep(RULE_MERGE, 1), (6, 6, 0)),
+        (RewriteStep(RULE_SPLIT, 0, (2,)), (2, 0, 0, 0, 4, 6, 0)),
+        (RewriteStep(RULE_SPLIT, 4, (2,)), (2, 0, 4, 6, 2, 0, -2)),
+    ]:
+        assert apply_step(word, step).twists == twists, step
+    # a rule-2 step recorded at the wrong position no longer replays
+    misplaced = RewriteTrace(
+        PlumbingWord((2,)), PlumbingWord((2, 4, 0)), (RewriteStep(RULE_STABILIZE, 0, (4,)),)
+    )
+    with pytest.raises(PlumbingError):
+        misplaced.replay()
+    with pytest.raises(PlumbingError):
+        misplaced.check_profiles()
+
+
+def test_generated_moves_equal_the_checked_step():
+    # words of up to 14 entries, twists in +-10 with zeros drawn often:
+    # past the corpus of <= 6 entries and |twist| <= 6
+    rng = random.Random(2029)
+    evens = list(range(-10, 11, 2)) + [0] * 4
+    moves = Counter()
+    for _ in range(600):
+        word = PlumbingWord(tuple(rng.choice(evens) for _ in range(rng.randint(0, 14))))
+        budget = SearchBudget(max_length=16, max_twist=rng.choice((2, 6, 10)))
+        p, q = _column(word.twists)
+        generated = list(plumbing._shrinks(word.twists))
+        generated += plumbing._neighbors(word.twists, budget)
+        for step, twists in generated:
+            assert apply_step(word, step).twists == twists, (word, step)
+            assert _column(twists) in {(p, q), (-p, -q)}, (word, step)
+        moves.update(step.rule for step, _ in generated)
+    assert min(moves[rule] for rule in (RULE_UNSTABILIZE, RULE_MERGE)) > 50, moves
+    assert sum(moves.values()) > 20_000, moves
 
 
 def test_normalize_examples():
