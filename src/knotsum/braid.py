@@ -9,7 +9,8 @@ strand count. The empty word is a valid braid on any number of strands.
 The composition implemented here concatenates a word w1 on k+1 strands
 with a word w2 shifted up by k, so that the two closures share exactly
 one strand. Splitting at k undoes this exactly, which is what the
-round-trip tests rely on.
+round-trip tests rely on. `shifted` moves letters up and `restrict` cuts
+out a sub-word re-indexed from 1; no other module re-indexes letters.
 """
 
 from __future__ import annotations
@@ -152,12 +153,24 @@ def closure_data(word: BraidWord) -> ClosureData:
     return ClosureData(permutation=permutation, components=len(_cycles(permutation)))
 
 
+def restrict(word: BraidWord, lo: int, hi: int) -> BraidWord:
+    """The letters on generators strictly between lo and hi, in order and
+    keeping their signs, re-indexed from 1, on hi - lo strands."""
+    return BraidWord(hi - lo, tuple([v - lo if v > 0 else v + lo
+                                     for v in word.letters if lo < abs(v) < hi]))
+
+
+def shifted(letters: Sequence[int], k: int) -> tuple[int, ...]:
+    """The letters moved up k strands, keeping their signs."""
+    return tuple([v + k if v > 0 else v - k for v in letters])
+
+
 def split_braid(word: BraidWord, k: int) -> tuple[BraidWord, BraidWord]:
     """Cut the word along strand k+1 into (outer, inner) halves.
 
-    The first word keeps the letters of index >= k+1, reindexed down by k,
-    on strands-k strands. The second keeps the letters of index <= k on
-    k+1 strands. Letter order is preserved in both.
+    The outer half is restrict(word, k, strands): the letters of index
+    >= k+1, reindexed down by k, on strands-k strands. The inner half is
+    restrict(word, 0, k+1): the letters of index <= k on k+1 strands.
     """
     if word.strands < 3:
         raise SplitIndexError(
@@ -168,17 +181,7 @@ def split_braid(word: BraidWord, k: int) -> tuple[BraidWord, BraidWord]:
         raise SplitIndexError(
             f"split position {k} not in 1..{word.strands - 2} for {word.strands} strands"
         )
-    outer = []
-    inner = []
-    for v in word.letters:
-        if abs(v) >= k + 1:
-            outer.append(v - k if v > 0 else v + k)
-        else:
-            inner.append(v)
-    return (
-        BraidWord(word.strands - k, tuple(outer)),
-        BraidWord(k + 1, tuple(inner)),
-    )
+    return restrict(word, k, word.strands), restrict(word, 0, k + 1)
 
 
 def default_shuffle(n1: int, n2: int) -> tuple[int, ...]:
@@ -213,9 +216,8 @@ def murasugi_concat(
     if sum(shuffle) != len(w2.letters):
         raise ShuffleError("shuffle does not match the two letter counts")
 
-    shifted_w2 = [v + k if v > 0 else v - k for v in w2.letters]
     it1 = iter(w1.letters)
-    it2 = iter(shifted_w2)
+    it2 = iter(shifted(w2.letters, k))
     letters = [next(it2) if b else next(it1) for b in shuffle]
 
     strands = k + w2.strands

@@ -12,18 +12,20 @@ subtracted on those ints, and each entry of B - I is decoded once, by
 `linalg.balanced_digits`, into an entry of `linalg.kronecker_determinant`.
 
 The word is first cut where the closure is a connected sum (the Murasugi
-sum along a 2-gon): at each generator it uses exactly once. The Seifert
-matrix of a connected sum is the block sum of the summands' matrices, so
-alexander(L) is the product of the summands' polynomials, and each summand
-on m strands brings its own B - I, one diagonal block of the determinant,
-and its own 1 + t + ... + t^(m-1) to divide by. A generator the word never
-uses leaves a split closure, whose polynomial is zero. The surface route
-reads the whole, uncut word, so the two routes agreeing also checks the cut.
+sum along a 2-gon): at each generator it uses exactly once. Each summand
+is `braid.restrict` of the word between two cuts; a word with no cut is
+one summand like any other. The Seifert matrix of a connected sum is the
+block sum of the summands' matrices, so alexander(L) is the product of
+the summands' polynomials, and each summand on m strands brings its own
+B - I, one diagonal block of the determinant, and its own
+1 + t + ... + t^(m-1) to divide by. A generator the word never uses
+leaves a split closure, whose polynomial is zero. The surface route reads
+the whole, uncut word, so the two routes agreeing also checks the cut.
 """
 
 from __future__ import annotations
 
-from .braid import BraidWord
+from .braid import BraidWord, restrict
 from .laurent import ONE, ZERO, LaurentPolynomial
 from .linalg import balanced_digits, kronecker_determinant
 
@@ -65,12 +67,12 @@ def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
 
     One pass counts each generator's uses; if one is unused, the closure is
     split and the zero polynomial returns before any product. The strands
-    are cut at every generator used once. Each summand of m >= 2 strands is
-    the sub-word of the letters strictly between two cuts, re-indexed from
-    1; its B - I is one diagonal block of a single determinant, the product
-    of the blocks' determinants, which is divided once by the product of the
-    summands' 1 + t + ... + t^(m-1). With no summand left, the closure is an
-    unknot. A word with no cut goes through whole, as it is.
+    are cut at every generator used once; with the ends 0 and n, two
+    consecutive cuts lo < hi bound the summand restrict(word, lo, hi) on
+    m = hi - lo strands. Each summand of m >= 2 strands brings its B - I,
+    one diagonal block of a single determinant, the product of the blocks'
+    determinants, which is divided once by the product of the summands'
+    1 + t + ... + t^(m-1). With no summand left, the closure is an unknot.
     """
     n = word.strands
     uses = [0] * n  # uses[i]: letters on generator i; uses[0] stays 0
@@ -79,20 +81,7 @@ def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
     if 0 in uses[1:]:
         return ZERO
     cuts = [0, *(i for i in range(1, n) if uses[i] == 1), n]
-    if len(cuts) == 2:
-        summands = [word] if n > 1 else []
-    else:
-        # the letters strictly between two cuts, re-indexed from 1, kept under the lower cut
-        base = [0] * n  # base[i]: the cut below generator i
-        for lo, hi in zip(cuts, cuts[1:]):
-            base[lo + 1 : hi] = [lo] * (hi - lo - 1)
-        letters: dict[int, list[int]] = {lo: [] for lo in cuts}
-        for v in word.letters:
-            if uses[abs(v)] > 1:
-                lo = base[abs(v)]
-                letters[lo].append(v - lo if v > 0 else v + lo)
-        summands = [BraidWord(hi - lo, tuple(letters[lo]))
-                    for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+    summands = [restrict(word, lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
     if not summands:
         return ONE
     entries = []

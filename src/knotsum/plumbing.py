@@ -107,19 +107,21 @@ def apply_step(word: PlumbingWord, step: RewriteStep) -> PlumbingWord:
     position and params all fit the word. Rules 1 and 2 attach at n, rule
     2 inverse strips the trailing (a, 0) at n - 2 (params (a,)), rule 3
     merges at an interior zero (no params), and rule 3 inverse splits an
-    entry 0 <= j < n at its one param. PlumbingWord refuses odd twists."""
+    entry 0 <= j < n at its one param. PlumbingWord refuses odd twists;
+    a position or param that is no int, or params not in a tuple, fit none."""
     twists, n = word.twists, word.size
     rule, j, params = step
-    if rule == RULE_SUM and j == n:
-        return star4(word, PlumbingWord(params))
-    if rule == RULE_STABILIZE and j == n and len(params) == 1:
-        return PlumbingWord(twists + (params[0], 0))
-    if rule == RULE_UNSTABILIZE and j == n - 2 >= 0 and twists[j:] == (*params, 0):
-        return PlumbingWord(twists[:j])
-    if rule == RULE_MERGE and 1 <= j <= n - 2 and twists[j] == 0 and not params:
-        return PlumbingWord(_merged(twists, j))
-    if rule == RULE_SPLIT and 0 <= j < n and len(params) == 1:
-        return PlumbingWord(_split(twists, j, params[0]))
+    if type(j) is int and type(params) is tuple and all(type(x) is int for x in params):
+        if rule == RULE_SUM and j == n:
+            return star4(word, PlumbingWord(params))
+        if rule == RULE_STABILIZE and j == n and len(params) == 1:
+            return PlumbingWord(twists + (params[0], 0))
+        if rule == RULE_UNSTABILIZE and j == n - 2 >= 0 and twists[j:] == (*params, 0):
+            return PlumbingWord(twists[:j])
+        if rule == RULE_MERGE and 1 <= j <= n - 2 and twists[j] == 0 and not params:
+            return PlumbingWord(_merged(twists, j))
+        if rule == RULE_SPLIT and 0 <= j < n and len(params) == 1:
+            return PlumbingWord(_split(twists, j, params[0]))
     raise PlumbingError(f"rule {rule} does not fit {word} at position {j}, params {list(params)}")
 
 

@@ -24,6 +24,7 @@ from .braid import (
     closure_data,
     cyclic_conjugates,
     cyclic_reduction,
+    shifted,
     split_braid,
 )
 from .profiles import UNKNOT_PROFILE_KEY, BraidInvariants, InvariantProfile
@@ -410,11 +411,9 @@ def search_triples(
                 if not outer_pool:
                     continue
                 shuffles = _shuffles(total, outer_letters, budget.max_shuffles)
-                shifted = [
-                    tuple(v + k if v > 0 else v - k for v in w2.letters) for w2, _ in outer_pool
-                ]
+                outer_up = [shifted(w2.letters, k) for w2, _ in outer_pool]
                 for w1, r1 in inner_pool:
-                    for (w2, r2), w2_letters in zip(outer_pool, shifted):
+                    for (w2, r2), w2_letters in zip(outer_pool, outer_up):
                         both = w1.letters + w2_letters
                         for shuffle in shuffles:
                             letters = shuffle(both)

@@ -16,6 +16,8 @@ from knotsum.braid import (
     format_braid,
     murasugi_concat,
     parse_braid,
+    restrict,
+    shifted,
     split_braid,
 )
 
@@ -167,6 +169,26 @@ def test_split_keeps_letter_order_and_signs():
     outer, inner = split_braid(word, 2)
     assert inner == BraidWord(3, (1, 1, -2))
     assert outer == BraidWord(2, (-1, 1))
+
+
+def test_restrict_and_shifted_cases():
+    word = BraidWord(6, (1, -3, 5, 2, -2, -4, 3))
+    for (lo, hi), expected in [
+        ((0, 6), word),  # the whole range is the word itself
+        ((0, 1), BraidWord(1, ())),  # no generator strictly inside
+        ((2, 3), BraidWord(1, ())),
+        # signs kept; letters on the bounding generators lo and hi dropped
+        ((1, 4), BraidWord(3, (-2, 1, -1, 2))),
+        ((2, 6), BraidWord(4, (-1, 3, -2, 1))),
+        ((0, 3), BraidWord(3, (1, 2, -2))),
+    ]:
+        assert restrict(word, lo, hi) == expected, (lo, hi)
+    assert restrict(BraidWord(5, (1, 4, -1)), 1, 4) == BraidWord(3, ())
+    assert shifted((1, -2, 3), 2) == (3, -4, 5)
+    assert shifted((), 5) == ()
+    for w in random_braid_words(30, 20):
+        # restricting a shifted word back to its range gives the word
+        assert restrict(BraidWord(w.strands + 3, shifted(w.letters, 3)), 3, w.strands + 3) == w
 
 
 def test_default_shuffle():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from knotsum.braid import BraidWord, closure_data
+from knotsum.braid import BraidWord, closure_data, shifted
 from knotsum.burau import alexander_via_burau, reduced_burau
 from knotsum.laurent import ONE, ZERO, LaurentPolynomial
 from knotsum.linalg import balanced_digits, laurent_matrix_determinant
@@ -239,7 +239,7 @@ def test_connected_sum_multiplies_the_summands_polynomials():
         # the two words' letters commute, so they may interleave, each in its order
         sides = [0] * len(lower.letters) + [1] * len(upper.letters)
         rng.shuffle(sides)
-        pending = [list(lower.letters[::-1]), [v + k if v > 0 else v - k for v in upper.letters[::-1]]]
+        pending = [list(lower.letters[::-1]), list(shifted(upper.letters[::-1], k))]
         letters = [pending[side].pop() for side in sides]
         letters.insert(rng.randint(0, len(letters)), rng.choice((1, -1)) * k)
         composite = BraidWord(k + upper.strands, tuple(letters))

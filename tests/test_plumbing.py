@@ -105,7 +105,8 @@ def test_apply_step_dispatch():
 def test_apply_step_checks_every_field_of_a_step():
     # S[2,0,4,6,0] takes rules 1 and 2 at 5, rule 2 inverse at 3 with
     # params (6,), rule 3 at 1 and rule 3 inverse at 0..4 with one param;
-    # a position one off either way, a missing or an extra param fails
+    # a position one off either way, a missing or an extra param fails, and
+    # so do a param that is no int, params in a list and a float position
     word = PlumbingWord((2, 0, 4, 6, 0))
     bad = [
         RewriteStep(RULE_SUM, 4, (2,)), RewriteStep(RULE_SUM, 6, (2,)),
@@ -117,6 +118,8 @@ def test_apply_step_checks_every_field_of_a_step():
         RewriteStep(RULE_SPLIT, -1, (2,)), RewriteStep(RULE_SPLIT, 5, (2,)),
         RewriteStep(RULE_SPLIT, 2), RewriteStep(RULE_SPLIT, 2, (2, 2)),
         RewriteStep("9", 0),
+        RewriteStep(RULE_SPLIT, 0, ("a",)), RewriteStep(RULE_SUM, 5, [2]),
+        RewriteStep(RULE_MERGE, 1.0),
     ]
     for step in bad:
         with pytest.raises(PlumbingError) as caught:
