@@ -13,23 +13,21 @@ pivot columns), against O(n^3) dense.
 
 Polynomial determinants run the integer kernel once, at t = 2^B (Kronecker
 substitution), behind one front end, `kronecker_determinant`, which takes
-the matrix as a list of nonzero entries, each a coefficient list: pencils
-A + t*B (the Seifert route), the Burau route's B - I, and matrices of
-`LaurentPolynomial`s. B comes from Hadamard's bound on the coefficients of
-the determinant, so the integer holds them as balanced base-2^B digits,
-which `balanced_digits`, the one decoder, reads back with no
-interpolation. Pencils are eliminated on a reverse Cuthill-McKee order
-(Cuthill & McKee 1969) that gives the sparse Seifert pencils a small
-bandwidth. A symmetric form's signature and determinant are read off one
+the matrix as a list of nonzero entries, each a coefficient list: the
+Seifert pencil V - t*V^T (the surface route), the Burau route's B - I, and
+matrices of `LaurentPolynomial`s. B comes from Hadamard's bound on the
+coefficients of the determinant, so the integer holds them as balanced
+base-2^B digits, which `balanced_digits`, the one decoder, reads back with
+no interpolation. The pencil is eliminated on a reverse Cuthill-McKee
+order (Cuthill & McKee 1969) of V + V^T's pattern, which keeps it
+banded. A symmetric form's signature and determinant are read off one
 run's pivots (Sylvester's law of inertia). No floating point is used
 anywhere in the package.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from math import inf, isqrt, prod
-from operator import or_
 from typing import Sequence
 
 from .laurent import ZERO, LaurentPolynomial
@@ -151,17 +149,13 @@ def balanced_digits(value: int, bits: int) -> list[int]:
 
 
 def _reverse_cuthill_mckee(pattern: list[list[int]]) -> list[int]:
-    """Reverse Cuthill-McKee order of the graph with edges i - j for j in pattern[i].
+    """Reverse Cuthill-McKee order of a symmetric pattern: pattern[i] lists i's neighbours.
 
     Breadth-first from a vertex of least degree (a diagonal entry counts)
     in each component, visiting new neighbours by increasing degree;
     reversed, it keeps the nonzeros of the permuted matrix near the diagonal.
     """
-    neighbours = [set(cols) for cols in pattern]
-    for i, cols in enumerate(pattern):
-        for j in cols:
-            neighbours[j].add(i)
-    degree = list(map(len, neighbours))
+    degree = list(map(len, pattern))
     seen = [False] * len(pattern)
     order: list[int] = []
     for root in sorted(range(len(pattern)), key=degree.__getitem__):
@@ -171,7 +165,7 @@ def _reverse_cuthill_mckee(pattern: list[list[int]]) -> list[int]:
         head = len(order)
         order.append(root)
         while head < len(order):
-            fresh = [u for u in neighbours[order[head]] if not seen[u]]
+            fresh = [u for u in pattern[order[head]] if not seen[u]]
             head += 1
             fresh.sort(key=degree.__getitem__)
             for u in fresh:
@@ -221,31 +215,27 @@ def kronecker_determinant(
     return LaurentPolynomial.from_coeffs(sum(row_lo), coeffs)
 
 
-def pencil_determinant(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
-) -> LaurentPolynomial:
-    """det(A + t*B) for integer matrices A, B, as an exact polynomial in t.
+def pencil_determinant(v: Sequence[Sequence[int]]) -> LaurentPolynomial:
+    """det(V - t*V^T), the Seifert pencil of a square integer matrix V, as a polynomial in t.
 
     One integer Bareiss run at t = 2^B (`kronecker_determinant`), on the
-    reverse Cuthill-McKee order of the joint nonzero pattern of A and B
-    (the same permutation of rows and columns leaves det unchanged), which
-    keeps the sparse Seifert pencils banded: O(n*b^2) multiplications of
-    ints of O(n*B) bits for bandwidth b. Each entry a + b*t has
-    ||.||_1 = |a| + |b|, so B is about log2 of the Hadamard bound, and the
-    result has degree at most n.
+    reverse Cuthill-McKee order of V + V^T's pattern, the entries where V or
+    V^T is nonzero (the same permutation of rows and columns leaves det
+    unchanged), which keeps the sparse Seifert pencils banded: O(n*b^2)
+    multiplications of ints of O(n*B) bits for bandwidth b. Entry (i, j) is
+    V[i][j] - V[j][i]*t, of ||.||_1 = |V[i][j]| + |V[j][i]|, so B is about
+    log2 of the Hadamard bound, and the result has degree at most n.
     """
-    n = len(a)
-    if len(b) != n:
-        raise ValueError("pencil matrices differ in size")
-    if any(len(row) != n for row in (*a, *b)):
-        raise ValueError("pencil matrices are not square")
+    n = len(v)
+    if any(len(row) != n for row in v):
+        raise ValueError("pencil matrix is not square")
     cols = range(n)
-    pattern = [list(compress(cols, map(or_, ra, rb))) for ra, rb in zip(a, b)]
+    pattern = [[j for j in cols if row[j] or col[j]] for row, col in zip(v, zip(*v))]
     order = _reverse_cuthill_mckee(pattern)
     where = [0] * n
     for new, old in enumerate(order):
         where[old] = new
-    entries = [(where[i], where[j], 0, (a[i][j], b[i][j])) for i in cols for j in pattern[i]]
+    entries = [(where[i], where[j], 0, (v[i][j], -v[j][i])) for i in cols for j in pattern[i]]
     return kronecker_determinant(n, entries)
 
 

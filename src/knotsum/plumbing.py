@@ -122,7 +122,8 @@ def apply_step(word: PlumbingWord, step: RewriteStep) -> PlumbingWord:
             return PlumbingWord(_merged(twists, j))
         if rule == RULE_SPLIT and 0 <= j < n and len(params) == 1:
             return PlumbingWord(_split(twists, j, params[0]))
-    raise PlumbingError(f"rule {rule} does not fit {word} at position {j}, params {list(params)}")
+    shown = list(params) if type(params) in (tuple, list) else params
+    raise PlumbingError(f"rule {rule} does not fit {word} at position {j}, params {shown}")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, neg
+from operator import add
 from typing import Sequence
 
 from .braid import BraidWord
@@ -74,8 +74,7 @@ class SeifertMatrix:
 
     def alexander(self) -> LaurentPolynomial:
         """Normalized det(V - t*V^T), evaluated on each call."""
-        neg_vt = [tuple(map(neg, col)) for col in zip(*self.rows)]
-        return pencil_determinant(self.rows, neg_vt).normalized()
+        return pencil_determinant(self.rows).normalized()
 
     @cached_property
     def _symmetric_form(self) -> tuple[int, int]:

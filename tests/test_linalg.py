@@ -80,35 +80,40 @@ def test_bareiss_matches_cofactor_expansion(m):
 
 
 def test_pencil_determinant_examples():
-    # det([[1,0],[0,1]] + t*[[1,0],[0,-1]]) = (1+t)(1-t)
-    p = pencil_determinant([[1, 0], [0, 1]], [[1, 0], [0, -1]])
-    assert p == LaurentPolynomial.from_dict({0: 1, 2: -1})
-    assert pencil_determinant([], []) == ONE
-    with pytest.raises(ValueError):
-        pencil_determinant([[1]], [[1], [2]])
-    # only the first n columns used to be read, giving 1 + t
+    # det(V - t*V^T) for the trefoil's V = [[-1, 1], [0, -1]] is t^2 - t + 1
+    p = pencil_determinant([[-1, 1], [0, -1]])
+    assert p == LaurentPolynomial.from_dict({0: 1, 1: -1, 2: 1})
+    # one-sided: [[0, 1], [-t, 0]] has det t; an antisymmetric pair, whose
+    # V + V^T is 0, gives [[0, 1 + t], [-1 - t, 0]] and det (1 + t)^2
+    assert pencil_determinant([[0, 1], [0, 0]]) == T
+    assert pencil_determinant([[0, 1], [-1, 0]]) == LaurentPolynomial.from_dict({0: 1, 1: 2, 2: 1})
+    # a zero tube row and column
+    assert pencil_determinant([[-1, 1, 0], [0, -1, 0], [0, 0, 0]]) == ZERO
+    assert pencil_determinant([]) == ONE
     with pytest.raises(ValueError, match="square"):
-        pencil_determinant([[1, 2]], [[1, 2]])
+        pencil_determinant([[1], [2]])
+    # only the first n columns used to be read, giving 1 - t
+    with pytest.raises(ValueError, match="square"):
+        pencil_determinant([[1, 2]])
 
 
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(square_matrices(n), square_matrices(n))))
-def test_pencil_matches_evaluations(ab):
-    a, b = ab
-    n = len(a)
-    p = pencil_determinant(a, b)
+@given(st.integers(1, 4).flatmap(square_matrices))
+def test_pencil_matches_evaluations(v):
+    n = len(v)
+    p = pencil_determinant(v)
     for x in (-2, 0, 1, 3):
-        mx = [[a[i][j] + x * b[i][j] for j in range(n)] for i in range(n)]
+        mx = [[v[i][j] - x * v[j][i] for j in range(n)] for i in range(n)]
         assert _at(p, x) == bareiss_determinant(mx)
 
 
 def test_kronecker_rejects_a_determinant_wider_than_its_rows(monkeypatch):
-    # det([[1]] + t*[[0]]) has degree at most 1; at t = 2^3 (Hadamard bound
-    # 1) a value 8^2 decodes to t^2, which no 1 x 1 pencil can give
+    # det([[1 - t]]) has degree at most 1; at t = 2^3 (Hadamard bound 2) a
+    # value 8^2 decodes to t^2, which no 1 x 1 pencil can give
     values = iter((8, 64))
     monkeypatch.setattr(linalg, "bareiss_determinant", lambda m: next(values))
-    assert pencil_determinant([[1]], [[0]]) == T
+    assert pencil_determinant([[1]]) == T
     with pytest.raises(ArithmeticError):
-        pencil_determinant([[1]], [[0]])
+        pencil_determinant([[1]])
 
 
 def test_kronecker_shifts_each_row_to_its_lowest_exponent(monkeypatch):
@@ -183,6 +188,20 @@ def _tight_pencils(rng):
     yield a, b
 
 
+def _seifert_like(rng, n, density):
+    # off the diagonal, pairs (V[i][j], V[j][i]) are mostly one-sided, as in
+    # braid Seifert matrices; some are antisymmetric, where V + V^T cancels
+    # but the pencil does not, and some are general
+    v = [[rng.randint(-2, 2) if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                x, kind = rng.choice((-2, -1, 1, 2)), rng.randrange(5)
+                pair = [(x, 0), (0, x), (0, x), (x, -x), (x, rng.randint(-3, 3))][kind]
+                v[i][j], v[j][i] = pair
+    return v
+
+
 def test_pencil_matches_laurent_determinant_on_seeded_matrices():
     rng = random.Random(20261018)
     cases = []
@@ -193,12 +212,29 @@ def test_pencil_matches_laurent_determinant_on_seeded_matrices():
         if n and trial % 3 == 0:
             b[rng.randrange(n)] = [0] * n  # singular B: degree drops below n
         cases.append((a, b))
+    # general pencils A + t*B, through the Laurent front end
     for a, b in cases + list(_tight_pencils(rng)):
         n = len(a)
         pencil = [[LaurentPolynomial.from_dict({0: a[i][j], 1: b[i][j]}) for j in range(n)]
                   for i in range(n)]
+        assert laurent_matrix_determinant(pencil) == _cofactor_det(pencil, ONE), (a, b)
+    # Seifert pencils V - t*V^T: seeded, with entries of 2^64, and with a
+    # zero tube row and column, whose Delta is ZERO
+    seifert = [_seifert_like(rng, trial % 9, rng.choice((0.3, 0.7))) for trial in range(120)]
+    seifert += [_scaled(_seifert_like(rng, n, 0.7), 2**64) for n in (1, 3, 5)]
+    for n in (3, 6):
+        v = _seifert_like(rng, n, 1.0)
+        v[n - 1] = [0] * n
+        for row in v:
+            row[n - 1] = 0
+        assert pencil_determinant(v) == ZERO
+        seifert.append(v)
+    for v in seifert:
+        n = len(v)
+        pencil = [[LaurentPolynomial.from_dict({0: v[i][j], 1: -v[j][i]}) for j in range(n)]
+                  for i in range(n)]
         expected = _cofactor_det(pencil, ONE)
-        assert pencil_determinant(a, b) == laurent_matrix_determinant(pencil) == expected, (a, b)
+        assert pencil_determinant(v) == laurent_matrix_determinant(pencil) == expected, v
 
 
 def _dense_bareiss(m):
@@ -277,13 +313,11 @@ def test_pencil_is_invariant_under_simultaneous_permutation():
     rng = random.Random(1969)
     for trial in range(40):
         n = rng.randint(1, 12)
-        a = _random_matrix(rng, n, 0.25)
-        b = _random_matrix(rng, n, 0.25)
+        v = _seifert_like(rng, n, 0.25)
         perm = list(range(n))
         rng.shuffle(perm)
-        pa = [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        pb = [[b[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        assert pencil_determinant(pa, pb) == pencil_determinant(a, b), (a, b, perm)
+        pv = [[v[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        assert pencil_determinant(pv) == pencil_determinant(v), (v, perm)
 
 
 def test_laurent_matrix_determinant_examples():

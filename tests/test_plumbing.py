@@ -106,7 +106,9 @@ def test_apply_step_checks_every_field_of_a_step():
     # S[2,0,4,6,0] takes rules 1 and 2 at 5, rule 2 inverse at 3 with
     # params (6,), rule 3 at 1 and rule 3 inverse at 0..4 with one param;
     # a position one off either way, a missing or an extra param fails, and
-    # so do a param that is no int, params in a list and a float position
+    # so do a param that is no int, params in a list, params that are not
+    # iterable (an int, None) and a float position; the message names the
+    # params as given
     word = PlumbingWord((2, 0, 4, 6, 0))
     bad = [
         RewriteStep(RULE_SUM, 4, (2,)), RewriteStep(RULE_SUM, 6, (2,)),
@@ -119,6 +121,7 @@ def test_apply_step_checks_every_field_of_a_step():
         RewriteStep(RULE_SPLIT, 2), RewriteStep(RULE_SPLIT, 2, (2, 2)),
         RewriteStep("9", 0),
         RewriteStep(RULE_SPLIT, 0, ("a",)), RewriteStep(RULE_SUM, 5, [2]),
+        RewriteStep(RULE_SUM, 1, 2), RewriteStep(RULE_SUM, 5, None),
         RewriteStep(RULE_MERGE, 1.0),
     ]
     for step in bad:
@@ -126,7 +129,8 @@ def test_apply_step_checks_every_field_of_a_step():
             apply_step(word, step)
         message = str(caught.value)
         assert f"rule {step.rule} " in message and f"position {step.position}," in message
-        assert f"params {list(step.params)}" in message
+        params = list(step.params) if type(step.params) in (tuple, list) else step.params
+        assert message.endswith(f"params {params}")
     for step, twists in [
         (RewriteStep(RULE_SUM, 5, (2,)), (2, 0, 4, 6, 0, 2)),
         (RewriteStep(RULE_STABILIZE, 5, (4,)), (2, 0, 4, 6, 0, 4, 0)),

@@ -169,9 +169,9 @@ def test_each_seifert_form_is_eliminated_once(monkeypatch):
         runs.append((tuple(map(tuple, matrix)), symmetric))
         return eliminate(matrix, symmetric)
 
-    def counting_pencil(a, b):
-        pencils.append(a)
-        return pencil(a, b)
+    def counting_pencil(v):
+        pencils.append(v)
+        return pencil(v)
 
     def counting_burau(word):
         buraus.append(word)
@@ -210,9 +210,7 @@ def test_delta_is_computed_once_per_closure_record(monkeypatch):
     # serves all three; the SeifertMatrix evaluates its pencil on every call
     pencil, burau = seifert.pencil_determinant, alexander_via_burau
     pencils, buraus = [], []
-    monkeypatch.setattr(
-        seifert, "pencil_determinant", lambda a, b: pencils.append(a) or pencil(a, b)
-    )
+    monkeypatch.setattr(seifert, "pencil_determinant", lambda v: pencils.append(v) or pencil(v))
     monkeypatch.setattr(profiles, "alexander_via_burau", lambda w: buraus.append(w) or burau(w))
     for word, by_burau in ((BraidWord(3, (1, -2, 1, -2)), False),
                            (BraidWord(3, (1, -2) * 7), True)):

@@ -241,9 +241,7 @@ def test_pool_rejects_on_signature(monkeypatch):
     # 3_1 or the unknot; the 5_1 class fails only on |signature|
     pencils = []
     pencil = seifert.pencil_determinant
-    monkeypatch.setattr(
-        seifert, "pencil_determinant", lambda a, b: pencils.append(a) or pencil(a, b)
-    )
+    monkeypatch.setattr(seifert, "pencil_determinant", lambda v: pencils.append(v) or pencil(v))
     memo = surgery.ClassMemo()
     assert surgery._pool("4_1", 2, 5, memo) == []
     records = set(memo._words.values())
