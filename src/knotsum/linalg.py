@@ -2,14 +2,14 @@
 
 One elimination kernel, `_eliminate`: fraction-free integer elimination
 (Bareiss 1968) that never touches a zero, behind both `bareiss_determinant`
-(row pivoting) and `symmetric_form` (diagonal pivoting). Its only
-divisions are exact. A row with a zero under the pivot sits the step out,
-and its missed scalings by p_k/p_(k-1) telescope into one exact division
-by a stored pivot ratio, done when the row next takes part; each row
-update stops at the last nonzero column of the pivot row or of the row
-itself, so fill stays inside the rows' skyline. On a matrix of bandwidth
-b that is O(n*b^2) integer operations plus O(n^2) zero tests (row ends,
-pivot columns), against O(n^3) dense.
+(row pivoting) and `symmetric_form` (diagonal pivoting); it returns the
+determinant, whose sign only row swaps flip. Its only divisions are exact. A
+row with a zero under the pivot sits the step out, and its missed scalings
+by p_k/p_(k-1) telescope into one exact division by a stored pivot ratio,
+done when the row next takes part; each row update stops at the last nonzero
+column of the pivot row or of the row itself, so fill stays inside the rows'
+skyline. On a matrix of bandwidth b that is O(n*b^2) integer operations plus
+O(n^2) zero tests (row ends, pivot columns), against O(n^3) dense.
 
 Polynomial determinants run the integer kernel once, at t = 2^B (Kronecker
 substitution), behind one front end, `kronecker_determinant`, which takes
@@ -20,9 +20,9 @@ coefficients of the determinant, so the integer holds them as balanced
 base-2^B digits, which `balanced_digits`, the one decoder, reads back with
 no interpolation. The pencil is eliminated on a reverse Cuthill-McKee
 order (Cuthill & McKee 1969) of V + V^T's pattern, which keeps it
-banded. A symmetric form's signature and determinant are read off one
-run's pivots (Sylvester's law of inertia). No floating point is used
-anywhere in the package.
+banded. A symmetric form's signature is read off one run's pivots
+(Sylvester's law of inertia), and its determinant is that run's. No
+floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -34,14 +34,15 @@ from .laurent import ZERO, LaurentPolynomial
 
 
 def _eliminate(matrix: Sequence[Sequence[int]], symmetric: bool) -> tuple[list[int], int]:
-    """Pivots [1, D_1, ..., D_r] of fraction-free elimination, and the sign of its row swaps.
+    """Pivots [1, D_1, ..., D_r] of fraction-free elimination, and the determinant.
 
     Row pivoting takes at step k the first row at or below k with a nonzero
     in column k. Diagonal pivoting (symmetric) takes the first nonzero
     diagonal and swaps columns as rows, so D_k are the leading principal
     minors of a congruent matrix; when every live diagonal is zero it adds
     row and column j into i for a nonzero m[i][j], a unimodular congruence
-    that keeps the divisions exact and makes the diagonal 2*m[i][j]. It
+    that keeps the divisions exact and makes the diagonal 2*m[i][j]. The
+    determinant is D_n, its sign flipped by row swaps only, or 0 if the run
     stops, r < n, at a zero live column (live block, when symmetric).
     level[i] = L records that row i holds the values left by step L - 1, so
     its values for step k are stored * piv[k] // piv[L], exactly, as
@@ -79,7 +80,7 @@ def _eliminate(matrix: Sequence[Sequence[int]], symmetric: bool) -> tuple[list[i
             pair = symmetric and next(((i, j) for i in range(k, n)
                                        for j in range(i + 1, ends[i] + 1) if m[i][j]), None)
             if not pair:
-                break
+                return piv, 0
             p, j = pair
             lift(p, k)
             lift(j, k)
@@ -92,8 +93,9 @@ def _eliminate(matrix: Sequence[Sequence[int]], symmetric: bool) -> tuple[list[i
             m[k], m[p] = m[p], m[k]
             ends[k], ends[p] = ends[p], ends[k]
             level[k], level[p] = level[p], level[k]
-            sign = -sign
-            if symmetric:
+            if not symmetric:
+                sign = -sign
+            else:
                 for r in range(k, n):
                     row = m[r]
                     row[k], row[p] = row[p], row[k]
@@ -123,13 +125,12 @@ def _eliminate(matrix: Sequence[Sequence[int]], symmetric: bool) -> tuple[list[i
                 for j in range(k + 1, stop + 1):
                     row[j] = (row[j] * prev // ratio * pivot - f * top[j]) // prev
             level[i] = k + 1
-    return piv, sign
+    return piv, sign * piv[-1]
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix; 1 when empty."""
-    piv, sign = _eliminate(matrix, False)
-    return sign * piv[-1] if len(piv) > len(matrix) else 0
+    """Determinant of a square integer matrix, from `_eliminate`'s row pivoting; 1 when empty."""
+    return _eliminate(matrix, False)[1]
 
 
 def balanced_digits(value: int, bits: int) -> list[int]:
@@ -262,11 +263,11 @@ def symmetric_form(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
     The kernel's diagonal pivoting (`_eliminate`) gives the nonzero leading
     principal minors D_1, ..., D_r of a congruent matrix whose Schur
     complement past them is zero, so the signature is sum(sign(D_k * D_(k-1)))
-    (Sylvester's law of inertia), and the determinant is D_n, or 0 if r < n.
+    (Sylvester's law of inertia), and the determinant is the one it returns.
     """
-    piv, _ = _eliminate(matrix, True)
+    piv, det = _eliminate(matrix, True)
     signature = sum(1 if (a > 0) == (b > 0) else -1 for a, b in zip(piv, piv[1:]))
-    return signature, piv[-1] if len(piv) > len(matrix) else 0
+    return signature, det
 
 
 def symmetric_signature(matrix: Sequence[Sequence[int]]) -> int:

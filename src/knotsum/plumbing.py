@@ -58,9 +58,10 @@ class PlumbingWord:
         if not inner:
             return cls()
         try:
-            return cls(tuple(int(part) for part in inner.split(",")))
+            twists = tuple(int(part) for part in inner.split(","))
         except ValueError as exc:
             raise PlumbingError(f"bad twist list in {text!r}") from exc
+        return cls(twists)
 
     def format(self) -> str:
         return "S[" + ",".join(str(v) for v in self.twists) + "]"

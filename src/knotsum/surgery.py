@@ -84,9 +84,7 @@ def unknotting_crossing_set(word: BraidWord, basepoint: int = 1) -> frozenset[in
         raise ValueError(f"basepoint {basepoint} outside 1..{word.strands}")
     if closure_data(word).components != 1:
         raise ValueError("walk needs a knot closure")
-    under_first: set[int] = set()
-    over_first: set[int] = set()
-    visited: set[int] = set()
+    first_over: dict[int, bool] = {}  # letter position -> first met on the over-strand
     pos = basepoint
     for _ in range(word.strands):
         for idx, v in enumerate(word.letters):
@@ -94,14 +92,13 @@ def unknotting_crossing_set(word: BraidWord, basepoint: int = 1) -> frozenset[in
             if pos not in (i, i + 1):
                 continue
             # positive letter: the strand entering at position i goes over
-            over = (v > 0) == (pos == i)
-            if idx not in visited:
-                visited.add(idx)
-                (over_first if over else under_first).add(idx)
+            first_over.setdefault(idx, (v > 0) == (pos == i))
             pos = i + 1 if pos == i else i
     if pos != basepoint:
         raise AssertionError("closure walk failed to close up")
-    return frozenset(under_first if len(under_first) <= len(over_first) else over_first)
+    under = frozenset(idx for idx, is_over in first_over.items() if not is_over)
+    over = frozenset(first_over) - under
+    return under if len(under) <= len(over) else over
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given
@@ -430,6 +430,9 @@ def test_symmetric_signature_examples():
     assert symmetric_form([[1, 1, 1], [1, 1, 0], [1, 0, 1]]) == (1, -1)
     assert symmetric_form([[0] * 3 for _ in range(3)]) == (0, 0)
     assert symmetric_form(lagging) == (1, 0)
+    # one diagonal swap, then a row-and-column addition: both are
+    # congruences, so neither flips the determinant's sign
+    assert symmetric_form([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == (1, -1)
     # only the first n columns used to be read, giving 1
     with pytest.raises(ValueError, match="square"):
         symmetric_signature([[1, 5]])
@@ -564,3 +567,63 @@ def test_signature_matches_congruence_oracle_on_seeded_matrices():
         cases.append(sym)
     for sym in cases:
         assert symmetric_form(sym) == (_congruence_signature(sym), _dense_bareiss(sym)), sym
+
+
+def _permutation_sign(perm):
+    return (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+
+
+def _block_matrix(blocks, above):
+    # the blocks on the diagonal, and above(i, j) right of each block
+    n = sum(map(len, blocks))
+    m = [[above(i, j) for j in range(n)] for i in range(n)]
+    lo = 0
+    for block in blocks:
+        size = len(block)
+        for i in range(size):
+            m[lo + i][lo:lo + size] = block[i]
+        for i in range(lo + size, n):
+            m[i][lo:lo + size] = [0] * size
+        lo += size
+    return m
+
+
+def _nonsingular_block(rng, size):
+    while True:
+        sparse = rng.random() < 0.5
+        block = _sparse_test_matrix(rng, size) if sparse else _random_matrix(rng, size, 0.8)
+        if _cofactor_det(block):
+            return block
+
+
+def test_block_laws_hold_with_rows_shuffled_across_blocks():
+    # 2-6 blocks of 1-5 rows: the determinant of a block-diagonal or block
+    # upper-triangular matrix is the product of the blocks' determinants,
+    # times the sign of a row shuffle; over a symmetric block sum under one
+    # simultaneous permutation, the signature adds and det multiplies
+    rng = random.Random(1935)
+    nonzero = [0, 0]  # nonzero determinants: matrices, forms
+    for trial in range(120):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 6))]
+        blocks = [_nonsingular_block(rng, s) for s in sizes]
+        if trial % 5 == 0:
+            blocks[-1][0] = [0] * sizes[-1]  # one singular block
+        density = 0 if trial % 2 else 0.3
+        m = _block_matrix(blocks, lambda i, j: rng.randint(-3, 3) if rng.random() < density else 0)
+        perm = list(range(len(m)))
+        rng.shuffle(perm)
+        expected = _permutation_sign(perm) * prod(map(_cofactor_det, blocks))
+        assert bareiss_determinant([m[r] for r in perm]) == expected, (m, perm)
+        nonzero[0] += expected != 0
+
+        forms = [[[a[i][j] + a[j][i] for j in range(len(a))] for i in range(len(a))]
+                 for a in blocks]
+        for form in forms[::2]:
+            for i in range(len(form)):
+                form[i][i] = 0  # zero diagonal: the pair step has to run
+        block_sum = _block_matrix(forms, lambda i, j: 0)
+        shuffled = [[block_sum[a][b] for b in perm] for a in perm]
+        signature, det = sum(map(_congruence_signature, forms)), prod(map(_cofactor_det, forms))
+        assert symmetric_form(shuffled) == (signature, det), (block_sum, perm)
+        nonzero[1] += det != 0
+    assert nonzero[0] > 80 and nonzero[1] > 40

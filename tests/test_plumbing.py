@@ -39,8 +39,11 @@ def test_word_validation_and_text_form():
     assert PlumbingWord.parse(PlumbingWord((0, 2)).format()) == PlumbingWord((0, 2))
     with pytest.raises(PlumbingError):
         PlumbingWord.parse("2,2")
-    with pytest.raises(PlumbingError):
+    with pytest.raises(PlumbingError, match="bad twist list"):
         PlumbingWord.parse("S[2,a]")
+    # parse keeps the constructor's own refusal
+    with pytest.raises(PlumbingError, match="twist 3 is odd"):
+        PlumbingWord.parse("S[2,3]")
     assert not PlumbingWord((2, 0)).is_minimal_genus
     assert PlumbingWord((2, -4)).is_minimal_genus
 
