@@ -194,7 +194,7 @@ def _cmd_unknot_set(args: argparse.Namespace) -> Report:
     word = _parse_braid_arg(args.word, args.strands)
     positions = unknotting_crossing_set(word, basepoint=args.basepoint)
     changed = apply_crossing_changes(word, positions)
-    certificate = unknot_certificate(changed.word, from_walk=True)
+    certificate = unknot_certificate(changed.word, args.basepoint)
     ordered = sorted(positions)
     payload = {
         "word": format_braid(word),
@@ -463,8 +463,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    except (TableError, ValueError, OverflowError, OSError) as exc:  # Overflow: strands >= 2^63
-        print(f"error: {exc}", file=sys.stderr)
+    except (TableError, ValueError, OverflowError, OSError, MemoryError) as exc:
+        # Overflow: strands >= 2^63; MemoryError: too many strands to list
+        reason = "input too large to hold in memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "structured":
         print(json.dumps({"version": SCHEMA_VERSION, **report.payload}, indent=2))

@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 from .braid import (
     BraidWord,
@@ -43,10 +43,11 @@ class TwistAnnulus:
     """One crossing change realized as plumbing a twisted annulus.
 
     Its side is the sign of its twist. Contributes a 4-gon before merging,
-    whichever side it lands on.
+    whichever side it lands on: gon_contribution is a class constant.
     """
 
     full_twists: int
+    gon_contribution: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
         if self.full_twists == 0:
@@ -55,10 +56,6 @@ class TwistAnnulus:
     @property
     def side(self) -> str:
         return SIDE_POSITIVE if self.full_twists > 0 else SIDE_NEGATIVE
-
-    @property
-    def gon_contribution(self) -> int:
-        return 4
 
     def serialize(self) -> dict[str, object]:
         return {
@@ -128,16 +125,16 @@ def apply_crossing_changes(word: BraidWord, positions) -> CrossingChangeResult:
     )
 
 
-def unknot_certificate(word: BraidWord, from_walk: bool = False) -> str:
+def unknot_certificate(word: BraidWord, basepoint: int | None = None) -> str:
     """Tri-state unknot status; invariants alone never fully certify.
 
-    from_walk marks words built by flipping a walk-selected set, which
-    are monotone diagrams and therefore genuinely unknots; such a word is
-    certified only when its invariants agree.
+    Certified only when the invariants are the unknot's and the walk from
+    basepoint selects no letter: the diagram is then monotone, an unknot.
     """
     if not BraidInvariants(word).matches(UNKNOT_PROFILE_KEY):
         return CERT_INCONSISTENT
-    return CERT_DESCENDING if from_walk else CERT_CONSISTENT
+    monotone = basepoint is not None and not unknotting_crossing_set(word, basepoint)
+    return CERT_DESCENDING if monotone else CERT_CONSISTENT
 
 
 @dataclass(frozen=True)
@@ -145,10 +142,9 @@ class TripleWitness:
     """A braid word realizing K3 as a Murasugi sum of K1 and K2 summands.
 
     outer_word and inner_word are exactly split_braid of the composite, so
-    the witness replays bit-for-bit. `degenerate` is always False: an
-    empty word that can be split lives on at least 3 strands, and its
-    closure and both splits are unlinks. The field stays for serialized
-    output.
+    the witness replays bit-for-bit. `degenerate` is a class constant, always
+    False: an empty word that can be split lives on at least 3 strands, and
+    its closure and both splits are unlinks; it stays in serialized output.
     """
 
     composite: CompositeBraid
@@ -156,7 +152,7 @@ class TripleWitness:
     inner_word: BraidWord
     names: tuple[str, str, str]
     profiles: tuple[InvariantProfile, InvariantProfile, InvariantProfile]
-    degenerate: bool = False
+    degenerate: ClassVar[bool] = False
 
     @property
     def gon_size(self) -> int:
@@ -366,7 +362,9 @@ def search_triples(
     target names, canonically ordered by (length, word, split position).
 
     The inner word realizes the second target name, the outer the first.
-    An exhausted budget yields an empty list, not an error.
+    An exhausted budget yields an empty list, not an error. A knot word on
+    s strands has s - 1 letters or more, so composites stay on at most
+    min(max_strands, max_total_letters + 1) strands: no wider pair fills.
 
     Exact invariants are memoized by conjugacy class in one ClassMemo: a
     closure, and so every invariant, is fixed on a class. The memo has two
@@ -392,10 +390,9 @@ def search_triples(
     is_name3 = memo.matcher(lookup(name3).profile.fingerprint())
     pool = functools.cache(functools.partial(_pool, memo=memo))
 
+    max_strands = min(budget.max_strands, budget.max_total_letters + 1)
     strand_pairs = [  # the composite has s1 + s2 - 1 strands
-        (s1, s2)
-        for s1 in range(2, budget.max_strands + 1)
-        for s2 in range(2, budget.max_strands + 2 - s1)
+        (s1, s2) for s1 in range(2, max_strands + 1) for s2 in range(2, max_strands + 2 - s1)
     ]
     witnesses: list[TripleWitness] = []
     for total in range(budget.max_total_letters + 1):

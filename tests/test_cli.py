@@ -237,6 +237,20 @@ def test_a_letter_too_large_for_a_strand_count_is_a_usage_error(capsys):
             assert err.count("\n") == 1, args
 
 
+def test_too_many_strands_to_hold_is_a_usage_error(capsys):
+    # the strand list is refused at once, before anything is allocated:
+    # 10^15 entries pass the address space, and 2^62 overflow its byte size
+    for strands in (str(10**15), str(2**62)):
+        for args in (
+            ("invariants", "1 1 1"),
+            ("unknot-set", "1 1 1"),
+            ("verify-triple", "1 2", "--at", "1", "--expect", "unknot,unknot,unknot"),
+        ):
+            code, out, err = run(capsys, *args, "--strands", strands)
+            assert (code, out) == (2, ""), args
+            assert err == "error: input too large to hold in memory\n", args
+
+
 def test_error_messages_name_the_problem(capsys):
     _, _, err = run(capsys, "dm-bounds", "3_1", "3_1", "9_99")
     assert "9_99" in err

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -15,7 +16,7 @@ from knotsum.braid import (
     split_braid,
 )
 from knotsum.profiles import UNKNOT_PROFILE_KEY, canonical_genus_bound, profile_of_braid
-from knotsum.table import match_profile
+from knotsum.table import load_table, match_profile
 from knotsum.surgery import (
     CERT_CONSISTENT,
     CERT_DESCENDING,
@@ -75,11 +76,14 @@ def test_walk_set_size_is_at_most_half_the_letters():
 
 
 def test_every_basepoint_gives_an_unknotting_set():
-    word = BraidWord(3, (1, 1, 1, -2, 1, -2))
-    for basepoint in range(1, word.strands + 1):
-        positions = unknotting_crossing_set(word, basepoint=basepoint)
-        flipped = apply_crossing_changes(word, positions).word
-        assert profile_of_braid(flipped).fingerprint() == UNKNOT_PROFILE_KEY
+    # the flipped word is certified from the basepoint whose walk chose the flips
+    words = [BraidWord(3, (1, 1, 1, -2, 1, -2))] + [e.word for e in load_table().values()]
+    for word in words + random_knot_words(143, 200):
+        for basepoint in range(1, word.strands + 1):
+            positions = unknotting_crossing_set(word, basepoint=basepoint)
+            flipped = apply_crossing_changes(word, positions).word
+            assert profile_of_braid(flipped).fingerprint() == UNKNOT_PROFILE_KEY
+            assert unknot_certificate(flipped, basepoint) == CERT_DESCENDING, (word, basepoint)
 
 
 def test_apply_crossing_changes():
@@ -97,11 +101,16 @@ def test_apply_crossing_changes():
 
 
 def test_certificates():
-    assert unknot_certificate(BraidWord(2, (1,)), from_walk=True) == CERT_DESCENDING
-    # a walk-built word is certified only when its invariants agree
-    assert unknot_certificate(BraidWord(2, (1, 1, 1)), from_walk=True) == CERT_INCONSISTENT
+    assert unknot_certificate(BraidWord(2, (1,)), basepoint=1) == CERT_DESCENDING
+    # a word is certified only when its invariants agree
+    assert unknot_certificate(BraidWord(2, (1, 1, 1)), basepoint=1) == CERT_INCONSISTENT
     assert unknot_certificate(BraidWord(2, (1,))) == CERT_CONSISTENT
     assert unknot_certificate(BraidWord(2, (1, 1, 1))) == CERT_INCONSISTENT
+    # an unknot whose walk from strand 1 meets letters 2 and 3 first from
+    # below: the diagram is not monotone, so the invariants alone speak
+    word = BraidWord(3, (1, 2, -1, 2))
+    assert unknotting_crossing_set(word, basepoint=1) == frozenset({2, 3})
+    assert unknot_certificate(word, basepoint=1) == CERT_CONSISTENT
 
 
 def test_verify_triple_success():
@@ -145,6 +154,19 @@ def test_verify_triple_failures():
     assert isinstance(composite_off, TripleFailure) and composite_off.stage == "composite"
 
     assert "stage" in bad_names.serialize()
+
+
+def test_degenerate_and_gon_contribution_are_class_constants():
+    assert "degenerate" not in {field.name for field in fields(TripleWitness)}
+    assert "gon_contribution" not in {field.name for field in fields(TwistAnnulus)}
+    witness = verify_triple(BraidWord(3, (1, 2)), 1, ("unknot",) * 3)
+    with pytest.raises(TypeError):
+        TripleWitness(
+            witness.composite, witness.outer_word, witness.inner_word,
+            witness.names, witness.profiles, degenerate=False,
+        )
+    assert witness.serialize()["degenerate"] is False
+    assert TwistAnnulus(full_twists=-1).serialize()["gon_contribution"] == 4
 
 
 def test_verify_triple_needs_exactly_three_names():
@@ -230,10 +252,26 @@ def test_search_triples_builds_each_pool_once(monkeypatch):
     budget = TripleBudget(max_total_letters=2, max_strands=4, max_shuffles=8)
     assert search_triples(("unknot", "unknot", "unknot"), budget)
     assert len(calls) == len(set(calls))
-    assert sorted({(name, strands) for name, strands, _ in calls}) == [
-        ("unknot", 2),
-        ("unknot", 3),
-    ]
+    # 2 letters fill no composite on more than 3 strands: no 3-strand part
+    assert sorted({(name, strands) for name, strands, _ in calls}) == [("unknot", 2)]
+
+
+def test_search_triples_takes_its_strand_range_from_its_letters(monkeypatch):
+    # a knot word on s strands has s - 1 letters or more, so 3 letters fill no
+    # composite past 4 strands and no part past 3, however many strands are allowed
+    calls = []
+    build = surgery._pool
+
+    def counting(name, strands, length, memo):
+        calls.append(strands)
+        return build(name, strands, length, memo)
+
+    monkeypatch.setattr(surgery, "_pool", counting)
+    target = ("unknot", "unknot", "unknot")
+    wide = search_triples(target, TripleBudget(max_total_letters=3, max_strands=40))
+    assert calls and max(calls) == 3
+    narrow = search_triples(target, TripleBudget(max_total_letters=3, max_strands=4))
+    assert wide and wide == narrow
 
 
 def test_pool_rejects_on_signature(monkeypatch):
