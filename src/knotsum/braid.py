@@ -15,8 +15,9 @@ out a sub-word re-indexed from 1; no other module re-indexes letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+from .record import Record
 
 
 class BraidSyntaxError(ValueError):
@@ -31,25 +32,27 @@ class ShuffleError(ValueError):
     """Raised when an interleaving pattern does not fit the two words."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """An element of the braid group, spelled as a word in the generators."""
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = _fields = ("strands", "letters")
 
-    def __post_init__(self) -> None:
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()) -> None:
         """Refuses a zero letter first, then a letter out of range, then a
         strand count below 1; parse_braid's errors are these."""
-        if 0 in self.letters:
+        if 0 in letters:
             raise BraidSyntaxError("braid letter 0 is not allowed")
-        for letter in self.letters:
-            if abs(letter) >= self.strands:
+        for letter in letters:
+            if abs(letter) >= strands:
                 raise BraidSyntaxError(
-                    f"letter {letter} exceeds the declared strand count {self.strands}"
+                    f"letter {letter} exceeds the declared strand count {strands}"
                 )
-        if self.strands < 1:
+        if strands < 1:
             raise BraidSyntaxError("strand count must be at least 1")
+        set_strands, set_letters, set_values = self._setters
+        set_strands(self, strands)
+        set_letters(self, letters)
+        set_values(self, (strands, letters))
 
     def __str__(self) -> str:
         return format_braid(self)
@@ -65,16 +68,20 @@ class BraidWord:
         return sum(1 for v in self.letters if abs(v) == index)
 
 
-@dataclass(frozen=True)
-class ClosureData:
+class ClosureData(Record):
     """Combinatorial data of the closed-up braid diagram.
 
     permutation maps top position i to the bottom position reached by the
     strand entering at i (1-based, stored as a tuple indexed from 0).
     """
 
-    permutation: tuple[int, ...]
-    components: int
+    __slots__ = _fields = ("permutation", "components")
+
+    def __init__(self, permutation: tuple[int, ...], components: int) -> None:
+        set_permutation, set_components, set_values = self._setters
+        set_permutation(self, permutation)
+        set_components(self, components)
+        set_values(self, (permutation, components))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         return _cycles(self.permutation)
@@ -97,15 +104,19 @@ def _cycles(permutation: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CompositeBraid:
+class CompositeBraid(Record):
     """A braid word remembered together with its summing position.
 
     split_braid(word, split_index) gives back the (outer, inner) factors.
     """
 
-    word: BraidWord
-    split_index: int
+    __slots__ = _fields = ("word", "split_index")
+
+    def __init__(self, word: BraidWord, split_index: int) -> None:
+        set_word, set_split_index, set_values = self._setters
+        set_word(self, word)
+        set_split_index(self, split_index)
+        set_values(self, (word, split_index))
 
     @property
     def gon_size(self) -> int:

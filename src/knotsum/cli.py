@@ -1,6 +1,9 @@
 """Command-line front end. Thin adapters only: every subcommand parses its
 arguments, calls one library entry point, and returns a Report; main prints
 it either as human-readable text or as versioned JSON (--format structured).
+Each handler imports the library modules it calls, so a command loads only
+its own: `split` never loads the table, and `dm-bounds` neither the plumbing
+calculus nor the surgery layer.
 
 Exit codes: 0 success, 1 verification failure (including search not-found,
 with the budget printed), 2 usage error.
@@ -9,7 +12,6 @@ with the budget printed), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import NamedTuple, Sequence
 
@@ -22,31 +24,6 @@ from .braid import (
     parse_braid,
     split_braid,
 )
-from .distances import (
-    dm_interval,
-    gon_merge,
-    load_distance_data,
-    plan_triple_sum,
-)
-from .plumbing import (
-    PlumbingWord,
-    SearchBudget,
-    boundary_profile,
-    normalize,
-    rewrite_search,
-)
-from .profiles import BraidInvariants, identify
-from .surgery import (
-    CERT_INCONSISTENT,
-    TripleBudget,
-    TripleFailure,
-    apply_crossing_changes,
-    search_triples,
-    unknot_certificate,
-    unknotting_crossing_set,
-    verify_triple,
-)
-from .table import TableError, lookup
 
 SCHEMA_VERSION = 1
 
@@ -69,6 +46,8 @@ def _parse_braid_arg(text: str, strands: int | None = None) -> BraidWord:
 
 def _profile_report(profile) -> tuple[dict, list[str]]:
     """Payload fields and human lines for a profile and its identification."""
+    from .profiles import identify
+
     # links stay unidentified; the table holds knots only
     names = identify(profile) if profile.is_knot else None
     if names is None:
@@ -87,6 +66,12 @@ def _profile_report(profile) -> tuple[dict, list[str]]:
     return fields, lines
 
 
+def _given(**options) -> dict:
+    """The budget options given on the command line; the budget's own
+    defaults fill in the rest."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _exhausted(what: str, budget, **fields) -> Report:
     """Report a search that ran out of budget, naming the budget."""
     return Report(
@@ -101,6 +86,8 @@ def _cmd_invariants(args: argparse.Namespace) -> Report:
     if text.startswith("S["):
         if args.strands is not None:
             raise ValueError("--strands applies to braid words only")
+        from .plumbing import PlumbingWord, boundary_profile
+
         word = PlumbingWord.parse(text)
         profile = boundary_profile(word)
         payload: dict = {
@@ -114,6 +101,8 @@ def _cmd_invariants(args: argparse.Namespace) -> Report:
             f"minimal genus word: {'yes' if word.is_minimal_genus else 'no'}",
         ]
     else:
+        from .profiles import BraidInvariants
+
         word = _parse_braid_arg(text, args.strands)
         invariants = BraidInvariants(word)
         profile = invariants.profile(word)
@@ -191,6 +180,13 @@ def _cmd_concat(args: argparse.Namespace) -> Report:
 
 
 def _cmd_unknot_set(args: argparse.Namespace) -> Report:
+    from .surgery import (
+        CERT_INCONSISTENT,
+        apply_crossing_changes,
+        unknot_certificate,
+        unknotting_crossing_set,
+    )
+
     word = _parse_braid_arg(args.word, args.strands)
     positions = unknotting_crossing_set(word, basepoint=args.basepoint)
     changed = apply_crossing_changes(word, positions)
@@ -220,6 +216,8 @@ def _cmd_unknot_set(args: argparse.Namespace) -> Report:
 
 
 def _cmd_dm_bounds(args: argparse.Namespace) -> Report:
+    from .distances import dm_interval, load_distance_data
+
     data = load_distance_data(args.data)
     interval = dm_interval(args.k1, args.k2, args.k3, data)
     payload = {
@@ -258,6 +256,8 @@ def _trace_payload(trace) -> dict:
 
 
 def _cmd_plumbing_normalize(args: argparse.Namespace) -> Report:
+    from .plumbing import PlumbingWord, normalize
+
     trace = normalize(PlumbingWord.parse(args.word))
     preserved = trace.check_profiles()
     return Report(
@@ -268,6 +268,8 @@ def _cmd_plumbing_normalize(args: argparse.Namespace) -> Report:
 
 
 def _cmd_plumbing_boundary(args: argparse.Namespace) -> Report:
+    from .plumbing import PlumbingWord, boundary_profile
+
     word = PlumbingWord.parse(args.word)
     fields, profile_lines = _profile_report(boundary_profile(word))
     return Report(
@@ -276,10 +278,13 @@ def _cmd_plumbing_boundary(args: argparse.Namespace) -> Report:
 
 
 def _cmd_plumbing_search(args: argparse.Namespace) -> Report:
+    from .plumbing import PlumbingWord, SearchBudget, rewrite_search
+    from .table import lookup
+
     word = PlumbingWord.parse(args.word)
     target = lookup(args.target).profile
-    budget = SearchBudget(max_length=args.max_length, max_twist=args.max_twist,
-                          max_states=args.max_states)
+    budget = SearchBudget(**_given(max_length=args.max_length, max_twist=args.max_twist,
+                                   max_states=args.max_states))
     trace = rewrite_search(word, target, budget)
     if trace is None:
         return _exhausted("not found", budget)
@@ -290,6 +295,8 @@ def _cmd_plumbing_search(args: argparse.Namespace) -> Report:
 
 
 def _cmd_verify_triple(args: argparse.Namespace) -> Report:
+    from .surgery import TripleFailure, verify_triple
+
     word = _parse_braid_arg(args.word, args.strands)
     expected = tuple(name.strip() for name in args.expect.split(","))
     if len(expected) != 3:
@@ -310,11 +317,13 @@ def _cmd_verify_triple(args: argparse.Namespace) -> Report:
 
 
 def _cmd_search_triples(args: argparse.Namespace) -> Report:
-    budget = TripleBudget(
+    from .surgery import TripleBudget, search_triples
+
+    budget = TripleBudget(**_given(
         max_total_letters=args.max_letters,
         max_strands=args.max_strands,
         max_shuffles=args.max_shuffles,
-    )
+    ))
     witnesses = search_triples((args.k1, args.k2, args.k3), budget, limit=args.limit)
     if not witnesses:
         return _exhausted("no witnesses", budget, witnesses=[])
@@ -333,6 +342,8 @@ def _cmd_search_triples(args: argparse.Namespace) -> Report:
 
 
 def _cmd_gon_merge(args: argparse.Namespace) -> Report:
+    from .distances import gon_merge
+
     total = gon_merge(args.sizes, knot_boundary=args.knot)
     payload = {
         "sizes": list(args.sizes),
@@ -343,6 +354,8 @@ def _cmd_gon_merge(args: argparse.Namespace) -> Report:
 
 
 def _cmd_plan_triple(args: argparse.Namespace) -> Report:
+    from .distances import load_distance_data, plan_triple_sum
+
     data = load_distance_data(args.data)
     plan = plan_triple_sum(args.k1, args.k2, args.k3, data)
     return Report({"plan": plan.serialize()}, [
@@ -393,9 +406,8 @@ COMMANDS: dict = {
             _cmd_plumbing_search,
             "rewrite toward a minimal-genus word with the given boundary",
             (WORD, _arg("target", help="table knot name"),
-             _arg("--max-length", type=int, default=SearchBudget.max_length),
-             _arg("--max-twist", type=int, default=SearchBudget.max_twist),
-             _arg("--max-states", type=int, default=SearchBudget.max_states)),
+             _arg("--max-length", type=int), _arg("--max-twist", type=int),
+             _arg("--max-states", type=int)),
         ),
     }, "linear plumbing rewrites", ()),
     "verify-triple": (
@@ -405,10 +417,8 @@ COMMANDS: dict = {
     "search-triples": (
         _cmd_search_triples, "enumerate braid witnesses for a Murasugi-sum triple",
         (*KNOTS,
-         _arg("--max-letters", type=int, default=TripleBudget.max_total_letters),
-         _arg("--max-strands", type=int, default=TripleBudget.max_strands),
-         _arg("--max-shuffles", type=int, default=TripleBudget.max_shuffles),
-         _arg("--limit", type=int, default=None)),
+         _arg("--max-letters", type=int), _arg("--max-strands", type=int),
+         _arg("--max-shuffles", type=int), _arg("--limit", type=int, default=None)),
     ),
     "gon-merge": (_cmd_gon_merge, "total gon size after merging summing polygons", (
         _arg("sizes", type=int, nargs="+"),
@@ -463,12 +473,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    except (TableError, ValueError, OverflowError, OSError, MemoryError) as exc:
-        # Overflow: strands >= 2^63; MemoryError: too many strands to list
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
+        # TableError is a ValueError; Overflow: strands >= 2^63; MemoryError: too many
+        # strands to list
         reason = "input too large to hold in memory" if isinstance(exc, MemoryError) else exc
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "structured":
+        import json
+
         print(json.dumps({"version": SCHEMA_VERSION, **report.payload}, indent=2))
     else:
         for line in report.lines:

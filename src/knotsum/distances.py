@@ -16,11 +16,11 @@ record only facts witnessed elsewhere in the toolkit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .profiles import InvariantProfile
+from .record import Record
 from .table import load_table, lookup, records, shipped_text
 
 KIND_BAND_TWIST = "d_bt"
@@ -37,11 +37,15 @@ class DistanceDataError(ValueError):
     """Malformed or inconsistent distance data."""
 
 
-@dataclass(frozen=True)
-class KnotRecord:
-    name: str
-    u: int
-    e: int | None
+class KnotRecord(Record):
+    __slots__ = _fields = ("name", "u", "e")
+
+    def __init__(self, name: str, u: int, e: int | None) -> None:
+        set_name, set_u, set_e, set_values = self._setters
+        set_name(self, name)
+        set_u(self, u)
+        set_e(self, e)
+        set_values(self, (name, u, e))
 
 
 def composite_name(a: str, b: str) -> str:
@@ -49,12 +53,17 @@ def composite_name(a: str, b: str) -> str:
     return "#".join(sorted((a, b)))
 
 
-@dataclass(frozen=True)
-class DistanceData:
+class DistanceData(Record):
     """Immutable snapshot of per-knot and per-pair curated values."""
 
-    knots: Mapping[str, KnotRecord]
-    pairs: Mapping[tuple[str, str], Mapping[str, tuple[int, str]]]
+    __slots__ = _fields = ("knots", "pairs")
+
+    def __init__(self, knots: Mapping[str, KnotRecord],
+                 pairs: Mapping[tuple[str, str], Mapping[str, tuple[int, str]]]) -> None:
+        set_knots, set_pairs, set_values = self._setters
+        set_knots(self, knots)
+        set_pairs(self, pairs)
+        set_values(self, (knots, pairs))
 
     def u_of(self, name: str) -> int | None:
         rec = self.knots.get(name)
@@ -305,25 +314,26 @@ def _derivation(names: tuple[str, str, str] | None, profiles: Sequence[Invariant
             )
 
 
-@dataclass(frozen=True)
-class DMInterval:
-    lower: int
-    upper: int | None
-    derivation: tuple[DerivationEntry, ...]
-    connected_sum_status: str
+class DMInterval(Record):
+    __slots__ = _fields = ("lower", "upper", "derivation", "connected_sum_status")
 
-    def __post_init__(self) -> None:
-        if self.lower < 2 or self.lower % 2:
-            raise ValueError(f"lower bound {self.lower} must be even and >= 2")
-        if self.upper is not None:
-            if self.upper % 2:
-                raise ValueError(f"upper bound {self.upper} must be even")
-            if self.lower > self.upper:
-                raise ValueError(
-                    f"bounds crossed: lower {self.lower} > upper {self.upper}"
-                )
-        if self.lower == 2 and self.connected_sum_status == STATUS_DISTINCT:
+    def __init__(self, lower: int, upper: int | None, derivation: tuple[DerivationEntry, ...],
+                 connected_sum_status: str) -> None:
+        if lower < 2 or lower % 2:
+            raise ValueError(f"lower bound {lower} must be even and >= 2")
+        if upper is not None:
+            if upper % 2:
+                raise ValueError(f"upper bound {upper} must be even")
+            if lower > upper:
+                raise ValueError(f"bounds crossed: lower {lower} > upper {upper}")
+        if lower == 2 and connected_sum_status == STATUS_DISTINCT:
             raise ValueError("lower bound 2 contradicts certified distinctness")
+        set_lower, set_upper, set_derivation, set_connected_sum_status, set_values = self._setters
+        set_lower(self, lower)
+        set_upper(self, upper)
+        set_derivation(self, derivation)
+        set_connected_sum_status(self, connected_sum_status)
+        set_values(self, (lower, upper, derivation, connected_sum_status))
 
     def serialize(self) -> dict[str, object]:
         return {
@@ -380,8 +390,7 @@ def gon_merge(sizes: Sequence[int], knot_boundary: bool) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class GonPlan:
+class GonPlan(Record):
     """Symbolic plan realizing K3 as a Murasugi sum of K1 and K2.
 
     p annuli of one positive full twist each turn the surface of the knot
@@ -391,11 +400,17 @@ class GonPlan:
     connected sum of the two gives the final gon, 2(p + q + 1).
     """
 
-    names: tuple[str, str, str]
-    to_k3: str
-    to_unknot: str
-    p: int
-    q: int
+    __slots__ = _fields = ("names", "to_k3", "to_unknot", "p", "q")
+
+    def __init__(self, names: tuple[str, str, str], to_k3: str, to_unknot: str, p: int,
+                 q: int) -> None:
+        set_names, set_to_k3, set_to_unknot, set_p, set_q, set_values = self._setters
+        set_names(self, names)
+        set_to_k3(self, to_k3)
+        set_to_unknot(self, to_unknot)
+        set_p(self, p)
+        set_q(self, q)
+        set_values(self, (names, to_k3, to_unknot, p, q))
 
     @property
     def intermediate_gons(self) -> tuple[int, int]:

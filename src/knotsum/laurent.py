@@ -14,30 +14,32 @@ is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Mapping, Sequence
 
+from .record import Record
 
-@dataclass(frozen=True, slots=True)
-class LaurentPolynomial:
+
+class LaurentPolynomial(Record):
     """Immutable Laurent polynomial with int coefficients: the sum of coeffs[i] * t**(lo + i).
 
     The constructor takes canonical fields only and raises ValueError on any
     other; from_coeffs trims any coefficients to them.
     """
 
-    lo: int = 0
-    coeffs: tuple[int, ...] = ()
+    __slots__ = _fields = ("lo", "coeffs")
 
-    def __post_init__(self) -> None:
-        c = self.coeffs
+    def __init__(self, lo: int = 0, coeffs: tuple[int, ...] = ()) -> None:
         # canonical: a tuple with no zero at either end; the zero polynomial is (0, ())
-        if not (isinstance(c, tuple) and (c[0] and c[-1] if c else self.lo == 0)):
+        if not (isinstance(coeffs, tuple) and (coeffs[0] and coeffs[-1] if coeffs else lo == 0)):
             raise ValueError(
-                f"non-canonical fields lo={self.lo}, coeffs={c!r}; "
+                f"non-canonical fields lo={lo}, coeffs={coeffs!r}; "
                 "build from any coefficients with LaurentPolynomial.from_coeffs"
             )
+        set_lo, set_coeffs, set_values = self._setters
+        set_lo(self, lo)
+        set_coeffs(self, coeffs)
+        set_values(self, (lo, coeffs))
 
     @staticmethod
     def from_coeffs(lo: int, coeffs: Sequence[int]) -> "LaurentPolynomial":

@@ -14,28 +14,34 @@ independent routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .braid import BraidWord, _free_reduced, closure_data
 from .burau import alexander_via_burau
 from .laurent import LaurentPolynomial
+from .record import Record
 from .seifert import SeifertMatrix, seifert_matrix_of_braid
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
-    alexander: LaurentPolynomial
-    signature: int
-    determinant: int
-    canonical_genus_bound: int
-    components: int
+class InvariantProfile(Record):
+    __slots__ = _fields = (
+        "alexander", "signature", "determinant", "canonical_genus_bound", "components"
+    )
 
-    def __post_init__(self) -> None:
-        if self.determinant != abs(self.alexander.at_minus_one()):
+    def __init__(self, alexander: LaurentPolynomial, signature: int, determinant: int,
+                 canonical_genus_bound: int, components: int) -> None:
+        if determinant != abs(alexander.at_minus_one()):
             raise ValueError("determinant must equal |alexander(-1)|")
-        if self.components == 1 and self.signature % 2 != 0:
+        if components == 1 and signature % 2 != 0:
             raise ValueError("knot signatures are even under this convention")
+        (set_alexander, set_signature, set_determinant, set_canonical_genus_bound,
+         set_components, set_values) = self._setters
+        set_alexander(self, alexander)
+        set_signature(self, signature)
+        set_determinant(self, determinant)
+        set_canonical_genus_bound(self, canonical_genus_bound)
+        set_components(self, components)
+        set_values(self, (alexander, signature, determinant, canonical_genus_bound, components))
 
     @property
     def is_knot(self) -> bool:

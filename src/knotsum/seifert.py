@@ -44,7 +44,6 @@ both; Delta is evaluated on each call, and profiles.BraidInvariants keeps it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 from typing import Sequence
@@ -52,18 +51,21 @@ from typing import Sequence
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
 from .linalg import pencil_determinant, symmetric_form
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Record):
     """Square integer matrix V of push-off linking numbers; sigma and det cached on first use."""
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
+    __slots__ = ("rows", "__dict__")  # cached_property keeps sigma and det in the __dict__
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        if set(map(len, rows)) - {len(rows)}:
             raise ValueError("Seifert matrix must be square")
+        set_rows, set_values = self._setters
+        set_rows(self, rows)
+        set_values(self, (rows,))
 
     @property
     def size(self) -> int:

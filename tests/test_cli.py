@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from knotsum import cli
+from knotsum import surgery
 from knotsum.braid import BraidWord, murasugi_concat, parse_braid, split_braid
 from knotsum.cli import COMMANDS, main
 from knotsum.distances import dm_interval
@@ -86,8 +86,9 @@ def test_unknot_set_matches_library(capsys):
 
 
 def test_unknot_set_exits_1_on_a_forged_walk(capsys, monkeypatch):
-    # an empty flip set leaves the trefoil, whose invariants are not the unknot's
-    monkeypatch.setattr(cli, "unknotting_crossing_set", lambda word, basepoint: frozenset())
+    # an empty flip set leaves the trefoil, whose invariants are not the unknot's;
+    # the handler imports the walk from the surgery module when it runs
+    monkeypatch.setattr(surgery, "unknotting_crossing_set", lambda word, basepoint: frozenset())
     code, out, _ = run(capsys, "unknot-set", "1 1 1")
     assert code == 1
     assert "certificate: inconsistent" in out

@@ -1,7 +1,8 @@
 """Golden CLI transcripts.
 
 Each file under golden/ records one command line, its exit code, and its
-exact stdout and stderr. The test replays the command through
+exact stdout and stderr; the *.help.txt files hold every subcommand's
+--help at 80 columns. The test replays the command through
 `knotsum.cli.main` in-process and compares the rendered transcript byte
 for byte. The files are not regenerated by any tool: edit one by hand
 only for an intended output change, and record that change in
@@ -33,7 +34,8 @@ def _render(argv: list[str], code: int, out: str, err: str) -> str:
 
 
 @pytest.mark.parametrize("path", TRANSCRIPTS, ids=lambda p: p.stem)
-def test_cli_transcript(path, capsys):
+def test_cli_transcript(path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps at
     expected = path.read_bytes().decode("utf-8")
     argv = _argv(expected)
     code = main(argv)

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -25,23 +24,28 @@ def test_table_loads_and_validates():
     assert len(table) == 16
 
 
+def _replaced(record, **changes):
+    # a copy of a record with some fields changed
+    return type(record)(**{**dict(zip(record._fields, record._values)), **changes})
+
+
 def _link_entry(t):
     # a two-component closure, with its own profile cached
     word = BraidWord(2, (1, 1))
-    return dataclasses.replace(t["3_1"], word=word, profile=profile_of_braid(word))
+    return _replaced(t["3_1"], word=word, profile=profile_of_braid(word))
 
 
 @pytest.mark.parametrize("entries, refusal", [
     (lambda t: [t["3_1"], t["3_1"]], "duplicate name"),
-    (lambda t: [dataclasses.replace(t["4_1"], profile=dataclasses.replace(
+    (lambda t: [_replaced(t["4_1"], profile=_replaced(
         t["4_1"].profile, canonical_genus_bound=2))], "cached profile disagrees"),
     (lambda t: [_link_entry(t)], "closure is not a knot"),
-    (lambda t: [t["3_1"], dataclasses.replace(t["3_1"], name="3_1b")],
+    (lambda t: [t["3_1"], _replaced(t["3_1"], name="3_1b")],
      "fingerprint collides with 3_1"),
-    (lambda t: [dataclasses.replace(t["3_1"], unknotting_number=0)], "below signature bound"),
-    (lambda t: [dataclasses.replace(t["4_1"], unknotting_number=0)],
+    (lambda t: [_replaced(t["3_1"], unknotting_number=0)], "below signature bound"),
+    (lambda t: [_replaced(t["4_1"], unknotting_number=0)],
      "u=0 but profile is nontrivial"),
-    (lambda t: [dataclasses.replace(t["7_4"], unknotting_number=1)],
+    (lambda t: [_replaced(t["7_4"], unknotting_number=1)],
      "u=1 but no single letter flip"),
 ], ids=["duplicate", "profile", "link", "fingerprint", "signature", "u0", "u1"])
 def test_validation_refuses_each_bad_entry(entries, refusal):
@@ -187,7 +191,7 @@ def test_match_profile_index_agrees_with_a_linear_scan():
         profiles.append(p)
         # the mirror's signature, and an Alexander polynomial off by a unit
         for unit in (p.alexander.shift(3), -p.alexander.shift(-2)):
-            profiles.append(dataclasses.replace(p, alexander=unit, signature=-p.signature))
+            profiles.append(_replaced(p, alexander=unit, signature=-p.signature))
     table_hits = len(profiles)
     profiles += [profile_of_braid(w) for w in random_knot_words(4104, 300)]
     hits = 0
