@@ -15,7 +15,7 @@ out a sub-word re-indexed from 1; no other module re-indexes letters.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .record import Record
 
@@ -68,20 +68,15 @@ class BraidWord(Record):
         return sum(1 for v in self.letters if abs(v) == index)
 
 
-class ClosureData(Record):
+class ClosureData(NamedTuple):
     """Combinatorial data of the closed-up braid diagram.
 
     permutation maps top position i to the bottom position reached by the
     strand entering at i (1-based, stored as a tuple indexed from 0).
     """
 
-    __slots__ = _fields = ("permutation", "components")
-
-    def __init__(self, permutation: tuple[int, ...], components: int) -> None:
-        set_permutation, set_components, set_values = self._setters
-        set_permutation(self, permutation)
-        set_components(self, components)
-        set_values(self, (permutation, components))
+    permutation: tuple[int, ...]
+    components: int
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         return _cycles(self.permutation)
@@ -104,19 +99,14 @@ def _cycles(permutation: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-class CompositeBraid(Record):
+class CompositeBraid(NamedTuple):
     """A braid word remembered together with its summing position.
 
     split_braid(word, split_index) gives back the (outer, inner) factors.
     """
 
-    __slots__ = _fields = ("word", "split_index")
-
-    def __init__(self, word: BraidWord, split_index: int) -> None:
-        set_word, set_split_index, set_values = self._setters
-        set_word(self, word)
-        set_split_index(self, split_index)
-        set_values(self, (word, split_index))
+    word: BraidWord
+    split_index: int
 
     @property
     def gon_size(self) -> int:

@@ -10,7 +10,9 @@ derivation that prints every emitted number with its inputs; each
 band-twist bound is the final gon of a GonPlan.
 
 Curated distances live in a plain-text data file; the shipped defaults
-record only facts witnessed elsewhere in the toolkit.
+record only facts witnessed elsewhere in the toolkit. The table and the
+profile layer are imported when first read, so gon_merge, which only adds
+integers, loads neither.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ import functools
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .profiles import InvariantProfile
 from .record import Record
-from .table import load_table, lookup, records, shipped_text
 
 KIND_BAND_TWIST = "d_bt"
 KIND_GORDIAN = "d_G"
@@ -37,15 +37,18 @@ class DistanceDataError(ValueError):
     """Malformed or inconsistent distance data."""
 
 
-class KnotRecord(Record):
-    __slots__ = _fields = ("name", "u", "e")
+@functools.cache
+def _table():
+    """The table module, imported on first use: gon_merge loads no table."""
+    from . import table
 
-    def __init__(self, name: str, u: int, e: int | None) -> None:
-        set_name, set_u, set_e, set_values = self._setters
-        set_name(self, name)
-        set_u(self, u)
-        set_e(self, e)
-        set_values(self, (name, u, e))
+    return table
+
+
+class KnotRecord(NamedTuple):
+    name: str
+    u: int
+    e: int | None
 
 
 def composite_name(a: str, b: str) -> str:
@@ -53,17 +56,11 @@ def composite_name(a: str, b: str) -> str:
     return "#".join(sorted((a, b)))
 
 
-class DistanceData(Record):
+class DistanceData(NamedTuple):
     """Immutable snapshot of per-knot and per-pair curated values."""
 
-    __slots__ = _fields = ("knots", "pairs")
-
-    def __init__(self, knots: Mapping[str, KnotRecord],
-                 pairs: Mapping[tuple[str, str], Mapping[str, tuple[int, str]]]) -> None:
-        set_knots, set_pairs, set_values = self._setters
-        set_knots(self, knots)
-        set_pairs(self, pairs)
-        set_values(self, (knots, pairs))
+    knots: Mapping[str, KnotRecord]
+    pairs: Mapping[tuple[str, str], Mapping[str, tuple[int, str]]]
 
     def u_of(self, name: str) -> int | None:
         rec = self.knots.get(name)
@@ -81,7 +78,7 @@ def _parse(text: str) -> DistanceData:
     """Parse and validate the records of one data file."""
     knots: dict[str, KnotRecord] = {}
     pairs: dict[tuple[str, str], dict[str, tuple[int, str]]] = {}
-    for lineno, parts in records(text):
+    for lineno, parts in _table().records(text):
         if parts[0] == "knot":
             if len(parts) != 4:
                 raise DistanceDataError(f"line {lineno}: knot record needs 3 fields")
@@ -129,7 +126,7 @@ def _parse(text: str) -> DistanceData:
 
 
 def _validate(knots: dict[str, KnotRecord], pairs: dict) -> None:
-    table = load_table()
+    table = _table().load_table()
     for name, rec in knots.items():
         if name in table and rec.u != table[name].unknotting_number:
             raise DistanceDataError(
@@ -174,7 +171,7 @@ def load_distance_data(path: str | Path | None = None) -> DistanceData:
 
 @functools.lru_cache(maxsize=1)
 def _load_default() -> DistanceData:
-    return _parse(shipped_text("distances.txt"))
+    return _parse(_table().shipped_text("distances.txt"))
 
 
 class DerivationEntry(NamedTuple):
@@ -187,7 +184,9 @@ class DerivationEntry(NamedTuple):
 
 def _resolve(knot: str | InvariantProfile) -> tuple[str | None, InvariantProfile]:
     if isinstance(knot, str):
-        return knot, lookup(knot).profile
+        return knot, _table().lookup(knot).profile
+    from .profiles import InvariantProfile
+
     if isinstance(knot, InvariantProfile):
         return None, knot
     raise TypeError(f"expected knot name or profile, got {type(knot).__name__}")
@@ -390,7 +389,7 @@ def gon_merge(sizes: Sequence[int], knot_boundary: bool) -> int:
     return total
 
 
-class GonPlan(Record):
+class GonPlan(NamedTuple):
     """Symbolic plan realizing K3 as a Murasugi sum of K1 and K2.
 
     p annuli of one positive full twist each turn the surface of the knot
@@ -400,17 +399,11 @@ class GonPlan(Record):
     connected sum of the two gives the final gon, 2(p + q + 1).
     """
 
-    __slots__ = _fields = ("names", "to_k3", "to_unknot", "p", "q")
-
-    def __init__(self, names: tuple[str, str, str], to_k3: str, to_unknot: str, p: int,
-                 q: int) -> None:
-        set_names, set_to_k3, set_to_unknot, set_p, set_q, set_values = self._setters
-        set_names(self, names)
-        set_to_k3(self, to_k3)
-        set_to_unknot(self, to_unknot)
-        set_p(self, p)
-        set_q(self, q)
-        set_values(self, (names, to_k3, to_unknot, p, q))
+    names: tuple[str, str, str]
+    to_k3: str
+    to_unknot: str
+    p: int
+    q: int
 
     @property
     def intermediate_gons(self) -> tuple[int, int]:
@@ -440,7 +433,7 @@ def plan_triple_sum(
     """
     data = data or load_distance_data()
     for name in (k1, k2, k3):
-        lookup(name)
+        _table().lookup(name)
     plans = [plan for _, _, plan in _score_roles(data, k1, k2, k3) if plan is not None]
     if not plans:
         raise DistanceDataError(f"no band-twist estimates available for ({k1}, {k2}; {k3})")

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple
 
 from .profiles import InvariantProfile, profile_of_seifert_matrix
+from .record import Record
 from .seifert import seifert_matrix_of_plumbing
 
 RULE_SUM = "1"
@@ -35,11 +35,18 @@ class PlumbingError(ValueError):
     """Malformed word or rule applied where its precondition fails."""
 
 
-@dataclass(frozen=True)
-class PlumbingWord:
+class PlumbingWord(Record):
     """Ordered even twist counts; the empty word is a disk."""
 
-    twists: tuple[int, ...] = ()
+    __slots__ = _fields = ("twists",)
+
+    def __init__(self, twists: tuple[int, ...] = ()) -> None:
+        set_twists, set_values = self._setters
+        set_twists(self, twists)
+        set_values(self, (twists,))
+        # a method of its own: bench/tracing.py and tests/test_plumbing.py count built
+        # words by this name
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for value in self.twists:
@@ -127,8 +134,7 @@ def apply_step(word: PlumbingWord, step: RewriteStep) -> PlumbingWord:
     raise PlumbingError(f"rule {rule} does not fit {word} at position {j}, params {shown}")
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
+class RewriteTrace(NamedTuple):
     """A replayable rule sequence from start to end.
 
     Steps from rules 2/3 and their inverses preserve the boundary's
@@ -196,18 +202,20 @@ def normalize(word: PlumbingWord) -> RewriteTrace:
     return RewriteTrace(start=word, end=PlumbingWord(twists), steps=tuple(steps))
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_length: int = 10
-    max_twist: int = 8
-    max_states: int = 1_000_000
+class SearchBudget(Record):
+    __slots__ = _fields = ("max_length", "max_twist", "max_states")
 
-    def __post_init__(self) -> None:
-        # fields(), not vars(): a materialized __dict__ slows every later field read
-        for field in fields(self):
-            value = getattr(self, field.name)
+    def __init__(self, max_length: int = 10, max_twist: int = 8,
+                 max_states: int = 1_000_000) -> None:
+        values = (max_length, max_twist, max_states)
+        for name, value in zip(self._fields, values):
             if value < 0:
-                raise ValueError(f"budget {field.name} must be >= 0, got {value}")
+                raise ValueError(f"budget {name} must be >= 0, got {value}")
+        set_max_length, set_max_twist, set_max_states, set_values = self._setters
+        set_max_length(self, max_length)
+        set_max_twist(self, max_twist)
+        set_max_states(self, max_states)
+        set_values(self, values)
 
     def describe(self) -> str:
         return (f"length <= {self.max_length}, |twist| <= {self.max_twist}, "

@@ -1,14 +1,20 @@
-"""Immutable records: the value classes' one base, in place of frozen dataclasses.
+"""Immutable records: the base of the value classes whose constructors check their fields.
+
+A value class whose constructor checks its fields is a `Record`; one that
+checks nothing is a `typing.NamedTuple` (`ClosureData`, `GonPlan`,
+`TripleWitness`, `RewriteTrace` and the like). `Record` gives what a named
+tuple cannot: a checked constructor (a `NamedTuple` body may define neither
+`__new__` nor `__init__`), equality within one class (a named tuple equals
+any tuple of equal items), and no code generated per class (a named tuple
+evaluates source text for its `__new__`).
 
 A subclass names its fields in `_fields` and holds each in a slot of its
 `__slots__`. Its own `__init__` validates, then sets each field and
 `_values`, the tuple of the fields, through `_setters`: the slots' own
 `__set__`, in that order, since plain assignment is refused. Equality,
-hashing and repr read `_values` as a frozen dataclass's do: records of one
-class are equal when their field tuples are, a record of another class
-never is, and hash(record) is hash(record._values). Nothing is generated
-per class, so defining one costs no more than defining any class, and the
-`dataclasses` module, with `inspect` and `ast` behind it, is never imported.
+hashing and repr read `_values`: records of one class are equal when their
+field tuples are, a record of another class never is, and hash(record) is
+hash(record._values).
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .braid import (
     BraidWord,
@@ -28,6 +27,7 @@ from .braid import (
     split_braid,
 )
 from .profiles import UNKNOT_PROFILE_KEY, BraidInvariants, InvariantProfile
+from .record import Record
 from .table import load_table, lookup, match_profile
 
 SIDE_POSITIVE = "positive"
@@ -38,20 +38,22 @@ CERT_CONSISTENT = "invariant_consistent"
 CERT_INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True)
-class TwistAnnulus:
+class TwistAnnulus(Record):
     """One crossing change realized as plumbing a twisted annulus.
 
     Its side is the sign of its twist. Contributes a 4-gon before merging,
     whichever side it lands on: gon_contribution is a class constant.
     """
 
-    full_twists: int
-    gon_contribution: ClassVar[int] = 4
+    __slots__ = _fields = ("full_twists",)
+    gon_contribution = 4
 
-    def __post_init__(self) -> None:
-        if self.full_twists == 0:
+    def __init__(self, full_twists: int) -> None:
+        if full_twists == 0:
             raise ValueError("an annulus with no twists is not a crossing change")
+        set_full_twists, set_values = self._setters
+        set_full_twists(self, full_twists)
+        set_values(self, (full_twists,))
 
     @property
     def side(self) -> str:
@@ -98,8 +100,7 @@ def unknotting_crossing_set(word: BraidWord, basepoint: int = 1) -> frozenset[in
     return under if len(under) <= len(over) else over
 
 
-@dataclass(frozen=True)
-class CrossingChangeResult:
+class CrossingChangeResult(NamedTuple):
     word: BraidWord
     records: tuple[TwistAnnulus, ...]
 
@@ -137,8 +138,7 @@ def unknot_certificate(word: BraidWord, basepoint: int | None = None) -> str:
     return CERT_DESCENDING if monotone else CERT_CONSISTENT
 
 
-@dataclass(frozen=True)
-class TripleWitness:
+class TripleWitness(NamedTuple):
     """A braid word realizing K3 as a Murasugi sum of K1 and K2 summands.
 
     outer_word and inner_word are exactly split_braid of the composite, so
@@ -152,7 +152,7 @@ class TripleWitness:
     inner_word: BraidWord
     names: tuple[str, str, str]
     profiles: tuple[InvariantProfile, InvariantProfile, InvariantProfile]
-    degenerate: ClassVar[bool] = False
+    degenerate = False
 
     @property
     def gon_size(self) -> int:
@@ -170,8 +170,7 @@ class TripleWitness:
         }
 
 
-@dataclass(frozen=True)
-class TripleFailure:
+class TripleFailure(NamedTuple):
     stage: str
     detail: str
 
@@ -256,20 +255,22 @@ def verify_triple(
     )
 
 
-@dataclass(frozen=True)
-class TripleBudget:
+class TripleBudget(Record):
     """Bounds for the witness search; the defaults keep it under a minute."""
 
-    max_total_letters: int = 6
-    max_strands: int = 3
-    max_shuffles: int = 32
+    __slots__ = _fields = ("max_total_letters", "max_strands", "max_shuffles")
 
-    def __post_init__(self) -> None:
-        # fields(), not vars(): a materialized __dict__ slows every later field read
-        for field in fields(self):
-            value = getattr(self, field.name)
+    def __init__(self, max_total_letters: int = 6, max_strands: int = 3,
+                 max_shuffles: int = 32) -> None:
+        values = (max_total_letters, max_strands, max_shuffles)
+        for name, value in zip(self._fields, values):
             if value < 0:
-                raise ValueError(f"budget {field.name} must be >= 0, got {value}")
+                raise ValueError(f"budget {name} must be >= 0, got {value}")
+        set_max_total_letters, set_max_strands, set_max_shuffles, set_values = self._setters
+        set_max_total_letters(self, max_total_letters)
+        set_max_strands(self, max_strands)
+        set_max_shuffles(self, max_shuffles)
+        set_values(self, values)
 
     def describe(self) -> str:
         return (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from importlib import resources
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
@@ -22,14 +22,13 @@ from .profiles import (
     UNKNOT_PROFILE_KEY,
     profile_of_braid,
 )
-from .record import Record
 
 
 class TableError(ValueError):
     """Raised when the shipped table fails load-time validation."""
 
 
-class KnotTableEntry(Record):
+class KnotTableEntry(NamedTuple):
     """One reference knot: braid representative plus curated data.
 
     unknotting_number is literature data (see source column in the data
@@ -37,21 +36,12 @@ class KnotTableEntry(Record):
     indices live in the distance data only.
     """
 
-    __slots__ = _fields = (
-        "name", "crossings", "word", "unknotting_number", "unknotting_source", "profile"
-    )
-
-    def __init__(self, name: str, crossings: int, word: BraidWord, unknotting_number: int,
-                 unknotting_source: str, profile: InvariantProfile) -> None:
-        (set_name, set_crossings, set_word, set_unknotting_number, set_unknotting_source,
-         set_profile, set_values) = self._setters
-        set_name(self, name)
-        set_crossings(self, crossings)
-        set_word(self, word)
-        set_unknotting_number(self, unknotting_number)
-        set_unknotting_source(self, unknotting_source)
-        set_profile(self, profile)
-        set_values(self, (name, crossings, word, unknotting_number, unknotting_source, profile))
+    name: str
+    crossings: int
+    word: BraidWord
+    unknotting_number: int
+    unknotting_source: str
+    profile: InvariantProfile
 
 
 def records(text: str) -> Iterator[tuple[int, list[str]]]:

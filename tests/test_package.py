@@ -66,3 +66,22 @@ def test_split_loads_neither_the_table_nor_the_kernels():
     loaded = _loaded("-m", "knotsum", "split", "1 2 3", "--at", "1")
     assert "knotsum.braid" in loaded
     assert not loaded & {"knotsum.table", "knotsum.linalg"}
+
+
+def test_gon_merge_loads_neither_the_table_nor_the_kernels():
+    loaded = _loaded("-m", "knotsum", "gon-merge", "4", "4", "--knot")
+    assert "knotsum.distances" in loaded
+    assert not loaded & {"knotsum.table", "knotsum.linalg"}
+
+
+@pytest.mark.parametrize("command, layer", [
+    (("verify-triple", "1 1 1 2", "--at", "1", "--expect", "unknot,3_1,3_1"), "knotsum.surgery"),
+    (("unknot-set", "1 1 1 2 -1 2"), "knotsum.surgery"),
+    (("search-triples", "unknot", "unknot", "3_1"), "knotsum.surgery"),
+    (("plumbing", "normalize", "S[2,2,-2,0,2,2]"), "knotsum.plumbing"),
+    (("invariants", "S[2,2]"), "knotsum.plumbing"),
+], ids=["verify-triple", "unknot-set", "search-triples", "plumbing-normalize", "invariants-S"])
+def test_the_search_layers_load_no_dataclasses(command, layer):
+    loaded = _loaded("-m", "knotsum", *command)
+    assert layer in loaded
+    assert "dataclasses" not in loaded

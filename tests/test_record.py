@@ -1,5 +1,7 @@
-"""The immutable value records behave as frozen dataclasses do: equality,
-hashing and repr by the field tuple, no assignment, checked construction."""
+"""The two kinds of value class. A Record checks its fields as it is built and
+equals only a record of its own class; a NamedTuple bundle checks nothing and
+compares as the tuple of its fields. Both hash, print, copy and pickle by the
+field tuple and refuse assignment."""
 
 import copy
 import inspect
@@ -18,29 +20,46 @@ from knotsum.distances import (
     plan_triple_sum,
 )
 from knotsum.laurent import ONE, LaurentPolynomial
+from knotsum.plumbing import PlumbingWord, SearchBudget, normalize
 from knotsum.profiles import InvariantProfile
+from knotsum.record import Record
 from knotsum.seifert import SeifertMatrix, seifert_matrix_of_braid
+from knotsum.surgery import TripleBudget, TwistAnnulus, apply_crossing_changes, verify_triple
 from knotsum.table import lookup
 
 TREFOIL = BraidWord(2, (1, 1, 1))
+TREFOIL_SUM = BraidWord(3, (1, 1, 1, 2))  # split at 1: the unknot and a trefoil
 
-SAMPLES = {
+RECORDS = {
     "BraidWord": lambda: BraidWord(3, (1, -2)),
-    "ClosureData": lambda: closure_data(BraidWord(3, (1, -2))),
-    "CompositeBraid": lambda: murasugi_concat(TREFOIL, TREFOIL),
     "LaurentPolynomial": lambda: LaurentPolynomial(-1, (1, -1, 1)),
     "InvariantProfile": lambda: lookup("3_1").profile,
     "SeifertMatrix": lambda: seifert_matrix_of_braid(TREFOIL),
+    "DMInterval": lambda: dm_interval("3_1", "3_1", "5_1"),
+    "TwistAnnulus": lambda: TwistAnnulus(-1),
+    "TripleBudget": lambda: TripleBudget(7, 4),
+    "SearchBudget": lambda: SearchBudget(max_twist=2),
+    "PlumbingWord": lambda: PlumbingWord((2, 0, -2)),
+}
+
+BUNDLES = {
+    "ClosureData": lambda: closure_data(BraidWord(3, (1, -2))),
+    "CompositeBraid": lambda: murasugi_concat(TREFOIL, TREFOIL),
     "KnotTableEntry": lambda: lookup("3_1"),
     "KnotRecord": lambda: load_distance_data().knots["3_1"],
     "DistanceData": load_distance_data,
-    "DMInterval": lambda: dm_interval("3_1", "3_1", "5_1"),
     "GonPlan": lambda: plan_triple_sum("3_1", "3_1", "4_1"),
+    "CrossingChangeResult": lambda: apply_crossing_changes(BraidWord(3, (1, -2)), [0]),
+    "TripleWitness": lambda: verify_triple(TREFOIL_SUM, 1, ("unknot", "3_1", "3_1")),
+    "TripleFailure": lambda: verify_triple(TREFOIL, 1, ("3_1",)),
+    "RewriteTrace": lambda: normalize(PlumbingWord((2, 0, 2, 4, 0))),
 }
+
+SAMPLES = {**RECORDS, **BUNDLES}
 
 
 def _fields(record) -> dict:
-    # a record's fields are its constructor's parameters, in order
+    # a value's fields are its constructor's parameters, in order
     names = inspect.signature(type(record)).parameters
     return {name: getattr(record, name) for name in names}
 
@@ -56,9 +75,22 @@ def test_equality_is_by_class_and_fields(record):
     cls, fields = type(record), _fields(record)
     twin = cls(**fields)
     assert twin is not record and twin == record and not twin != record
-    other = type("Other", (cls,), {})(**fields)
-    assert other != record and record != other
-    assert record != tuple(fields.values())
+    if isinstance(record, Record):
+        other = type("Other", (cls,), {})(**fields)
+        assert other != record and record != other
+        assert record != tuple(fields.values())
+    else:
+        # a bundle is a tuple: it equals any tuple of its fields
+        assert record == tuple(fields.values())
+
+
+def test_every_value_class_is_a_record_or_a_bundle(record):
+    assert isinstance(record, Record) != isinstance(record, tuple)
+    assert type(record).__name__ in (RECORDS if isinstance(record, Record) else BUNDLES)
+
+
+def test_fields_are_the_constructor_parameters(record):
+    assert type(record)._fields == tuple(_fields(record))
 
 
 def test_records_of_two_classes_with_equal_fields_differ():
@@ -85,6 +117,18 @@ def test_repr_text():
     assert repr(BraidWord(3, (1, -2))) == "BraidWord(strands=3, letters=(1, -2))"
     assert repr(ONE) == "LaurentPolynomial(lo=0, coeffs=(1,))"
     assert repr(SeifertMatrix(((-1,),))) == "SeifertMatrix(rows=((-1,),))"
+    assert repr(TripleBudget(7, 4)) == (
+        "TripleBudget(max_total_letters=7, max_strands=4, max_shuffles=32)")
+    assert repr(BUNDLES["ClosureData"]()) == "ClosureData(permutation=(3, 1, 2), components=1)"
+    assert repr(BUNDLES["GonPlan"]()) == (
+        "GonPlan(names=('3_1', '3_1', '4_1'), to_k3='3_1', to_unknot='3_1', p=1, q=1)")
+    assert repr(BUNDLES["CrossingChangeResult"]()) == (
+        "CrossingChangeResult(word=BraidWord(strands=3, letters=(-1, -2)), "
+        "records=(TwistAnnulus(full_twists=-1),))")
+    assert repr(BUNDLES["RewriteTrace"]()) == (
+        "RewriteTrace(start=PlumbingWord(twists=(2, 0, 2, 4, 0)), "
+        "end=PlumbingWord(twists=(4,)), steps=(RewriteStep(rule='2^-1', position=3, "
+        "params=(4,)), RewriteStep(rule='3', position=1, params=())))")
 
 
 def test_fields_cannot_be_assigned_or_deleted(record):
@@ -142,6 +186,15 @@ def test_seifert_matrix_computes_signature_and_determinant_once(monkeypatch):
     (lambda: DMInterval(4, 2, (), STATUS_UNDETERMINED), "bounds crossed: lower 4 > upper 2"),
     (lambda: DMInterval(2, None, (), STATUS_DISTINCT),
      "lower bound 2 contradicts certified distinctness"),
+    (lambda: TwistAnnulus(0), "an annulus with no twists is not a crossing change"),
+    (lambda: TripleBudget(-1, -2, -3), "budget max_total_letters must be >= 0, got -1"),
+    (lambda: TripleBudget(0, -2, -3), "budget max_strands must be >= 0, got -2"),
+    (lambda: TripleBudget(0, 0, -3), "budget max_shuffles must be >= 0, got -3"),
+    (lambda: SearchBudget(-1, -2, -3), "budget max_length must be >= 0, got -1"),
+    (lambda: SearchBudget(0, -2, -3), "budget max_twist must be >= 0, got -2"),
+    (lambda: SearchBudget(0, 0, -3), "budget max_states must be >= 0, got -3"),
+    (lambda: PlumbingWord((2, True, 3)), "twist True is not an integer"),
+    (lambda: PlumbingWord((2, 3, True)), "twist 3 is odd"),
 ])
 def test_construction_checks_run_in_order(build, message):
     with pytest.raises(ValueError) as err:

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 
@@ -157,8 +156,8 @@ def test_verify_triple_failures():
 
 
 def test_degenerate_and_gon_contribution_are_class_constants():
-    assert "degenerate" not in {field.name for field in fields(TripleWitness)}
-    assert "gon_contribution" not in {field.name for field in fields(TwistAnnulus)}
+    assert "degenerate" not in TripleWitness._fields
+    assert "gon_contribution" not in TwistAnnulus._fields
     witness = verify_triple(BraidWord(3, (1, 2)), 1, ("unknot",) * 3)
     with pytest.raises(TypeError):
         TripleWitness(

@@ -26,7 +26,7 @@ def test_table_loads_and_validates():
 
 def _replaced(record, **changes):
     # a copy of a record with some fields changed
-    return type(record)(**{**dict(zip(record._fields, record._values)), **changes})
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
 
 
 def _link_entry(t):
